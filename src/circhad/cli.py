@@ -2,7 +2,8 @@
 
 Exit codes: 0 = verified/true, 1 = verified false (not Hadamard, listing not
 found, conditions violated), 2 = usage or input format error, 3 = capacity or
-feasibility error.
+feasibility error, 4 = internal error (a fault of circhad itself, such as a
+kernel result the gram oracle rejects).
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def _print(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _header_listing(doc: MatrixDocument, matrix, group) -> Listing | None:
+    """The document's own listing, if declared for `group` and making the matrix an RG-matrix."""
+    if doc.listing is None or doc.group != group.name:
+        return None
+    if sorted(doc.listing) != list(range(group.order)):
+        return None
+    listing = Listing(group, doc.listing)
+    return listing if is_rg_matrix(matrix, group, listing) else None
+
+
 def _cmd_verify(args) -> int:
     doc = parse_matrix_document(Path(args.file).read_text())
     matrix = doc.to_sign_matrix()
@@ -74,7 +85,7 @@ def _cmd_verify(args) -> int:
                 break
         else:
             if args.listing == "auto":
-                found = recover_listing(matrix, group)
+                found = _header_listing(doc, matrix, group) or recover_listing(matrix, group)
                 if found is not None:
                     rg_info = {
                         "group": group.name,
@@ -167,7 +178,8 @@ def _cmd_recover(args) -> int:
         raise FormatError(
             f"group {group.name} has order {group.order}, matrix is {doc.order}x{doc.order}"
         )
-    listing = recover_listing(doc.to_sign_matrix(), group)
+    matrix = doc.to_sign_matrix()
+    listing = _header_listing(doc, matrix, group) or recover_listing(matrix, group)
     if args.format == "json":
         payload = {
             "report": "recover",
@@ -256,6 +268,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, KeyError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ normally fixes row[0] = +1 and doubles its counts (global negation is a
 symmetry of every stage predicate). All counts are independent of worker
 count and partition depth: the pruning bound is monotone along prefixes.
 
-The inner scan runs on a compiled kernel when the extension is importable and
-on a pure-Python twin otherwise; `KERNEL_BACKEND` names the one in use.
+The inner scan runs on a vectorised numpy kernel; its pure-Python twin in
+`_pykernel` is the readable reference that the tests hold it to.
+`KERNEL_BACKEND` names the kernel in use. The kernel is not trusted alone:
+every found row is re-verified with the gram oracle.
 """
 
 from __future__ import annotations
@@ -29,30 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CapacityError
+from ..errors import CapacityError, FormatError
 from ..hadamard import admissible_negative_counts
-from . import _pykernel
+from . import _npkernel, _pykernel
 
 
-def _select_kernel():
-    forced = os.environ.get("CIRCHAD_KERNEL", "").lower()
-    if forced == "python":
-        return _pykernel
-    if forced == "cython":
-        from . import _ckernel  # noqa: PLC0415 - deliberate import-time selection
-
-        return _ckernel
-    if forced:
-        raise ValueError(f"CIRCHAD_KERNEL must be 'python' or 'cython', got {forced!r}")
-    try:
-        from . import _ckernel
-
-        return _ckernel
-    except ImportError:
-        return _pykernel
-
-
-_kernel = _select_kernel()
+_kernel = _npkernel
 KERNEL_BACKEND: str = _kernel.BACKEND
 
 RAW_ENUMERATION_LIMIT = 28
@@ -209,31 +193,62 @@ class _PartitionOutcome:
     mismatches: int
 
 
-def _read_checkpoint(path: Path, fingerprint: str) -> dict[int, _PartitionOutcome]:
-    done: dict[int, _PartitionOutcome] = {}
-    if not path.exists():
-        return done
-    lines = path.read_text().splitlines()
-    if not lines:
-        return done
-    header = lines[0]
-    if not header.startswith("# circhad-checkpoint v1 "):
+_CHECKPOINT_FIELDS = ["prefix", "survivors", "reached", "crosschecked", "mismatches", "masks"]
+
+
+def _load_checkpoint(
+    path: Path, fingerprint: str, order: int, partitions: int
+) -> dict[int, _PartitionOutcome]:
+    """The partitions a checkpoint records as done; writes the header when the file is new.
+
+    Lines are appended whole, newline last, so a last line that is unterminated
+    or incomplete is a write that never finished: it is cut from the file and
+    its partition is scanned again. A bad line anywhere else raises FormatError.
+    """
+    text = path.read_bytes().decode() if path.exists() else ""
+    if not text.strip():
+        path.write_text(f"# circhad-checkpoint v1 fingerprint={fingerprint} order={order}\n")
+        return {}
+    lines = text.splitlines(keepends=True)
+    if not lines[0].startswith("# circhad-checkpoint v1 "):
         raise ValueError(f"{path}: not a checkpoint file")
-    if f"fingerprint={fingerprint}" not in header:
+    if f"fingerprint={fingerprint}" not in lines[0]:
         raise ValueError(f"{path}: checkpoint was written for a different search configuration")
-    for line in lines[1:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
+    done: dict[int, _PartitionOutcome] = {}
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip() or line.startswith("#"):
             continue
-        fields = dict(part.split("=", 1) for part in line.split())
-        masks = [int(x, 16) for x in fields.get("masks", "").split(",") if x]
-        done[int(fields["prefix"], 16)] = _PartitionOutcome(
-            reached=int(fields["reached"]),
-            found_masks=masks,
-            crosschecked=int(fields["crosschecked"]),
-            mismatches=int(fields["mismatches"]),
-        )
+        try:
+            if not line.endswith("\n"):
+                raise ValueError("line is not terminated")
+            prefix, outcome = _parse_checkpoint_line(line, partitions)
+        except ValueError as exc:
+            if number < len(lines):
+                raise FormatError(f"{path}: {exc}", number) from None
+            os.truncate(path, len(text.encode()) - len(line.encode()))
+            break
+        done[prefix] = outcome
     return done
+
+
+def _parse_checkpoint_line(line: str, partitions: int) -> tuple[int, _PartitionOutcome]:
+    """Inverse of `_checkpoint_line`; raises ValueError unless all fields are there and agree."""
+    pairs = [part.split("=", 1) for part in line.split()]
+    if [pair[0] for pair in pairs] != _CHECKPOINT_FIELDS or any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected the fields " + ", ".join(_CHECKPOINT_FIELDS))
+    fields = dict(pairs)
+    prefix = int(fields["prefix"], 16)
+    masks = [int(x, 16) for x in fields["masks"].split(",") if x]
+    if not 0 <= prefix < partitions:
+        raise ValueError(f"prefix {fields['prefix']} is not one of the {partitions} partitions")
+    if int(fields["survivors"]) != len(masks):
+        raise ValueError(f"survivors={fields['survivors']} but {len(masks)} masks")
+    return prefix, _PartitionOutcome(
+        reached=int(fields["reached"]),
+        found_masks=masks,
+        crosschecked=int(fields["crosschecked"]),
+        mismatches=int(fields["mismatches"]),
+    )
 
 
 def _checkpoint_line(prefix: int, outcome: _PartitionOutcome) -> str:
@@ -290,9 +305,7 @@ def search(config: SearchConfig) -> SearchResult:
     if config.checkpoint_path is not None:
         checkpoint = Path(config.checkpoint_path)
         fingerprint = _config_fingerprint(config, pdepth)
-        outcomes.update(_read_checkpoint(checkpoint, fingerprint))
-        if not checkpoint.exists() or not checkpoint.read_text().strip():
-            checkpoint.write_text(f"# circhad-checkpoint v1 fingerprint={fingerprint} order={m}\n")
+        outcomes.update(_load_checkpoint(checkpoint, fingerprint, m, 1 << pdepth))
     if must_enumerate:
         prefixes = list(range(1 << pdepth))
         depth = pdepth + depth_extra
@@ -316,20 +329,19 @@ def search(config: SearchConfig) -> SearchResult:
                 mismatches=int(mismatches),
             )
 
-        if config.workers == 1 or len(todo) <= 1:
-            completed = map(run_partition, todo)
-            for prefix, outcome in completed:
-                outcomes[prefix] = outcome
-                if checkpoint is not None:
-                    with checkpoint.open("a") as fh:
-                        fh.write(_checkpoint_line(prefix, outcome) + "\n")
-        else:
+        def record(prefix: int, outcome: _PartitionOutcome) -> None:
+            outcomes[prefix] = outcome
+            if checkpoint is not None:
+                with checkpoint.open("a") as fh:
+                    fh.write(_checkpoint_line(prefix, outcome) + "\n")
+
+        if config.workers > 1 and len(todo) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 for prefix, outcome in pool.map(run_partition, todo):
-                    outcomes[prefix] = outcome
-                    if checkpoint is not None:
-                        with checkpoint.open("a") as fh:
-                            fh.write(_checkpoint_line(prefix, outcome) + "\n")
+                    record(prefix, outcome)
+        else:
+            for prefix in todo:
+                record(*run_partition(prefix))
 
     t_enumeration = time.perf_counter() - t1
     t2 = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Pure-Python enumeration kernel; the reference twin of the compiled one.
+"""Pure-Python enumeration kernel; the readable reference twin of `_npkernel`.
 
 Rows of length m are bitmasks: bit (m-1-i) is set when row[i] is -1, so
 lexicographic order on rows equals numeric order on masks. A subtree is the set

@@ -1,8 +1,12 @@
 import json
+import types
 
 import pytest
 
+import circhad.searchengine as engine
+from circhad import group_by_name, is_rg_matrix, parse_matrix_document
 from circhad.cli import main
+from circhad.groups import Listing
 
 EQ1_TEXT = "+++-\n-+++\n+-++\n++-+\n"
 
@@ -138,6 +142,46 @@ def test_recover_json(eq1_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["found"] is True
     assert payload["listing"] == [0, 1, 2, 3]
+
+
+def test_recover_and_verify_use_the_header_listing(tmp_path, capsys):
+    # listing recovery alone does not finish on this 64x64 matrix in any useful time
+    path = tmp_path / "ext64.txt"
+    assert main(["construct", "--family", "c2c8", "--extend", "c4", "--times", "1",
+                 "--out", str(path)]) == 0
+    doc = parse_matrix_document(path.read_text())
+    group = group_by_name("C2xC8xC4")
+    assert is_rg_matrix(doc.to_sign_matrix(), group, Listing(group, doc.listing))
+    assert main(["recover", "--file", str(path), "--group", "C2xC8xC4", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["found"] is True
+    assert payload["listing"] == list(doc.listing)
+    assert main(["verify", str(path), "--group", "C2xC8xC4", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rg"] == {"group": "C2xC8xC4", "rg_matrix": True, "listing": list(doc.listing)}
+
+
+def test_bad_header_listing_falls_back_to_recovery(tmp_path, capsys):
+    # eq1 relabelled so that neither the natural nor the paired listing works
+    path = tmp_path / "relabelled.txt"
+    path.write_text("group: C4\nlisting: 0,0,1,2\n++-+\n-+++\n+++-\n+-++\n")
+    assert main(["recover", "--file", str(path), "--group", "C4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["listing"] == [0, 1, 3, 2]
+    assert main(["verify", str(path), "--listing", "auto", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rg"] == {"group": "C4", "rg_matrix": True, "listing": [0, 1, 3, 2]}
+
+
+def test_internal_fault_exit_four(monkeypatch, capsys):
+    def scan_subtree(m, *args):
+        return 1, [0b1], 0, 0  # +...+- is not flat, so the gram oracle rejects it
+
+    faulty = types.SimpleNamespace(BACKEND="faulty", scan_subtree=scan_subtree)
+    monkeypatch.setattr(engine, "_kernel", faulty)
+    assert main(["search", "--order", "12", "--no-filter", "row_sum"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: ")
+    assert err.count("\n") == 1
 
 
 def test_recover_wrong_order_exit_two(eq1_file, capsys):

@@ -132,7 +132,7 @@ def test_search_json_report_fields():
     payload = json.loads(emit_report(search(SearchConfig(order=4)), "json"))
     assert payload["stage_counts"]["paf"] == 8
     assert payload["found"] == ["+++-"]
-    assert payload["meta"]["backend"] in ("python", "cython")
+    assert payload["meta"]["backend"] in ("python", "numpy")
 
 
 def test_emit_rejects_unknown_format_and_type():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,16 +6,10 @@ import numpy as np
 import pytest
 
 import circhad.searchengine as engine
-from circhad import CapacityError, SearchConfig, canonicalize, search
-from circhad.searchengine import _pykernel, mask_to_signs, mask_to_string, signs_to_mask
+from circhad import CapacityError, FormatError, SearchConfig, canonicalize, search
+from circhad.searchengine import _npkernel, _pykernel, mask_to_signs, mask_to_string, signs_to_mask
 
-KERNELS = [_pykernel]
-try:
-    from circhad.searchengine import _ckernel
-
-    KERNELS.append(_ckernel)
-except ImportError:
-    pass
+KERNELS = [_pykernel, _npkernel]
 
 
 @pytest.fixture(params=[k.BACKEND for k in KERNELS])
@@ -106,25 +101,32 @@ def test_fix_first_and_full_space_agree(kernel):
         assert fixed == full
 
 
-def test_kernels_agree():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel not built")
-    payloads = []
-    for module in KERNELS:
-        args = (12, 0, 1, False, 0, True, True, 1 << 32)
-        reached, found, checked, mismatches = module.scan_subtree(*args)
-        payloads.append((reached, sorted(found), checked, mismatches))
-    assert payloads[0] == payloads[1]
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12, 16])
+@pytest.mark.parametrize("row_sum, balance, paf_prefix", itertools.product([False, True], repeat=3))
+def test_kernels_agree(m, row_sum, balance, paf_prefix):
+    # every depth here runs on the whole row space except at order 16, where
+    # the shallow subtrees would make the Python kernel slow
+    _, adm_mask = engine._admissible_mask(m)
+    depths = sorted(d for d in {0, 1, 3, 5, m} if d <= m and (m < 16 or d >= 5))
+    for depth in depths:
+        prefixes = {0, 1, (1 << depth) // 3, (1 << depth) - 1} & set(range(1 << depth))
+        for prefix in sorted(prefixes):
+            for threshold in (0, 1 << 31, 1 << 32):
+                args = (m, prefix, depth, row_sum, adm_mask, balance, paf_prefix, threshold)
+                assert _npkernel.scan_subtree(*args) == _pykernel.scan_subtree(*args), args
 
 
 def test_kernels_agree_through_search(monkeypatch):
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel not built")
     results = []
     for module in KERNELS:
         monkeypatch.setattr(engine, "_kernel", module)
         results.append(search(SearchConfig(order=16)).deterministic_payload())
     assert results[0] == results[1]
+
+
+def test_kernel_selection():
+    assert engine._kernel is _npkernel
+    assert engine.KERNEL_BACKEND == "numpy"
 
 
 def test_determinism_across_workers_and_partitions():
@@ -225,6 +227,47 @@ def test_checkpoint_roundtrip(tmp_path):
     path.write_text("\n".join(lines[:1] + body[:8]) + "\n")
     partial = search(config)
     assert partial.deterministic_payload() == first.deterministic_payload()
+
+
+@pytest.mark.parametrize("order, depth", [(4, 2), (12, 3)])
+def test_checkpoint_resume_after_torn_last_line(tmp_path, order, depth):
+    # order 4 puts a found mask on the last line, so cuts inside masks= occur too
+    path = tmp_path / "search.ckpt"
+    config = SearchConfig(order=order, row_sum=False, checkpoint_path=path, partition_depth=depth)
+    expected = search(config).deterministic_payload()
+    lines = path.read_text().splitlines(keepends=True)
+    head, last = "".join(lines[:-1]), lines[-1]
+    # a write cut at any byte, and a line ended early between two fields
+    cuts = [last[:cut] for cut in range(len(last))]
+    cuts += [last[:cut] + "\n" for cut in range(len(last)) if last[cut] == " "]
+    for tail in cuts:
+        path.write_text(head + tail)
+        assert search(config).deterministic_payload() == expected, tail
+        # the good lines are kept byte for byte and the rescanned line is appended whole
+        assert path.read_text() == head + last, tail
+        # the torn line is gone, so a second resume finds a valid file
+        assert search(config).deterministic_payload() == expected, tail
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: line[: line.index(" crosschecked=")],
+        lambda line: line.replace("survivors=0", "survivors=1"),
+        lambda line: line.replace("prefix=0x1 ", "prefix=0x40 "),
+        lambda line: line.replace("reached=", "reached=x"),
+    ],
+)
+def test_checkpoint_rejects_bad_line_before_the_last(tmp_path, corrupt):
+    path = tmp_path / "search.ckpt"
+    config = SearchConfig(order=12, row_sum=False, checkpoint_path=path, partition_depth=3)
+    search(config)
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("prefix=0x1 ")
+    lines[2] = corrupt(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError):
+        search(config)
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
