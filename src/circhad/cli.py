@@ -28,6 +28,7 @@ from .matrixio import (
     parse_matrix_document,
     report_payload,
     report_text,
+    signs_from_text,
 )
 from .searchengine import SearchConfig, search
 
@@ -37,7 +38,7 @@ def _parse_row(text: str) -> np.ndarray:
     bad = set(compact) - {"+", "-"}
     if bad:
         raise FormatError(f"row may only contain '+' and '-', got {sorted(bad)}")
-    return np.array([1 if ch == "+" else -1 for ch in compact], dtype=np.int64)
+    return signs_from_text(compact)
 
 
 def _print(text: str) -> None:

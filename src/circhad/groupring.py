@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
 from .groups import Group, Listing, cyclic_group, natural_listing
+
+# Search nodes (candidate placements of an element at a position) that
+# `recover_listing` may explore before it gives up. The 16x16 constructions
+# need at most about 100k over any group of order 16; a 64x64 search explores
+# about 300k a second.
+RECOVERY_NODE_BUDGET = 500_000
 
 
 class GroupRingElement:
@@ -177,7 +184,9 @@ def recover_listing(m, group: Group) -> Listing | None:
 
     Backtracks over positions left to right, keeping the partially learned
     coefficient vector consistent; returns the first listing in lexicographic
-    order of assignments, or None when no listing works.
+    order of assignments, or None when no listing works. Each candidate
+    placement of an element at a position is one search node; raises
+    CapacityError once RECOVERY_NODE_BUDGET nodes have been explored.
     """
     arr = m.entries if isinstance(m, SignMatrix) else np.asarray(m, dtype=np.int64)
     n = group.order
@@ -192,6 +201,7 @@ def recover_listing(m, group: Group) -> Listing | None:
     used = [False] * n
     used[0] = True
     coeffs[0] = arr[0, 0]
+    nodes = 0
 
     def consistent(p: int, e: int, learned: list[int]) -> bool:
         # New entries visible once position p holds element e: row p and column p
@@ -210,11 +220,17 @@ def recover_listing(m, group: Group) -> Listing | None:
         return True
 
     def extend(p: int) -> bool:
+        nonlocal nodes
         if p == n:
             return True
         for e in range(n):
             if used[e]:
                 continue
+            if nodes == RECOVERY_NODE_BUDGET:
+                raise CapacityError(
+                    f"listing recovery over {group.name} gave up after exploring {nodes} nodes"
+                )
+            nodes += 1
             learned: list[int] = []
             if consistent(p, e, learned):
                 perm.append(e)

@@ -1,8 +1,10 @@
 """Exact Hadamard/regularity verification and the counting constraints behind it.
 
-Everything here is integer arithmetic. The gram product is the ground-truth
-oracle; the periodic autocorrelation view of circulants is a fast equivalent
-route that the tests cross-check against it rather than trust.
+Every verdict here is exact. The gram product is the ground-truth oracle; it
+runs as a float64 BLAS product, which is exact because every entry and partial
+sum of a +-1 gram product is an integer of magnitude at most n, far below 2^53.
+The periodic autocorrelation view of circulants is a fast equivalent route that
+the tests cross-check against it rather than trust.
 """
 
 from __future__ import annotations
@@ -15,10 +17,15 @@ import numpy as np
 from .groupring import as_sign_array
 
 
+def _float_gram(arr: np.ndarray) -> np.ndarray:
+    f = arr.astype(np.float64)
+    # Exact: every partial sum is an integer of magnitude <= n < 2^53.
+    return f @ f.T
+
+
 def gram(m) -> np.ndarray:
     """M * M^T over exact integers."""
-    arr = as_sign_array(m)
-    return arr @ arr.T
+    return _float_gram(as_sign_array(m)).astype(np.int64)
 
 
 @dataclass
@@ -36,10 +43,10 @@ def is_hadamard(m) -> GramReport:
     """Full gram report; the flag is true iff M M^T equals size * identity."""
     arr = as_sign_array(m)
     n = arr.shape[0]
-    g = arr @ arr.T
-    off = g[~np.eye(n, dtype=bool)]
-    max_off = int(np.abs(off).max()) if off.size else 0
+    g = _float_gram(arr)
     diag = set(int(x) for x in np.unique(np.diagonal(g)))
+    np.fill_diagonal(g, 0)
+    max_off = int(max(g.max(), -g.min())) if g.size else 0
     return GramReport(
         size=n,
         is_hadamard=(diag == {n} and max_off == 0),

@@ -20,6 +20,12 @@ from .hadamard import GramReport
 from .searchengine import SearchResult
 
 _HEADER_KEYS = ("order", "group", "listing")
+_PLUS, _MINUS = np.uint8(ord("+")), np.uint8(ord("-"))
+
+
+def signs_from_text(text: str) -> np.ndarray:
+    """+1 for each '+' and -1 for every other character of an ASCII string."""
+    return np.where(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _PLUS, 1, -1)
 
 
 @dataclass
@@ -30,14 +36,13 @@ class MatrixDocument:
     listing: tuple[int, ...] | None = None
 
     def to_sign_matrix(self) -> SignMatrix:
-        entries = np.array(
-            [[1 if ch == "+" else -1 for ch in row] for row in self.rows], dtype=np.int64
-        )
+        entries = signs_from_text("".join(self.rows)).reshape(len(self.rows), -1)
         return SignMatrix(entries, Provenance(group=self.group, listing=self.listing))
 
     @classmethod
     def from_sign_matrix(cls, m: SignMatrix) -> "MatrixDocument":
-        rows = ["".join("+" if v == 1 else "-" for v in row) for row in m.entries]
+        chars = np.where(m.entries == 1, _PLUS, _MINUS)
+        rows = [row.tobytes().decode("ascii") for row in chars]
         prov = m.provenance
         return cls(
             order=m.size,
@@ -76,8 +81,8 @@ def parse_matrix_document(text: str) -> MatrixDocument:
                     raise FormatError(f"listing is not a list of integers: {value!r}", lineno) from None
             continue
         compact = "".join(line.split())
-        bad = set(compact) - {"+", "-"}
-        if bad:
+        if compact.count("+") + compact.count("-") != len(compact):
+            bad = set(compact) - {"+", "-"}
             raise FormatError(f"illegal matrix characters {sorted(bad)}", lineno)
         if rows and len(compact) != len(rows[0]):
             raise FormatError(

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,7 +194,8 @@ class _PartitionOutcome:
     mismatches: int
 
 
-_CHECKPOINT_FIELDS = ["prefix", "survivors", "reached", "crosschecked", "mismatches", "masks"]
+_CHECKPOINT_FIELDS = ["prefix", "survivors", "reached", "crosschecked", "mismatches", "masks", "crc"]
+_CHECKPOINT_HEADER = "# circhad-checkpoint v2 "
 
 
 def _load_checkpoint(
@@ -201,16 +203,19 @@ def _load_checkpoint(
 ) -> dict[int, _PartitionOutcome]:
     """The partitions a checkpoint records as done; writes the header when the file is new.
 
-    Lines are appended whole, newline last, so a last line that is unterminated
-    or incomplete is a write that never finished: it is cut from the file and
+    Lines are appended whole, newline last, and each ends with a CRC-32 of the
+    text before it. So a last line that is unterminated, incomplete or fails
+    its checksum is a write that never finished: it is cut from the file and
     its partition is scanned again. A bad line anywhere else raises FormatError.
     """
     text = path.read_bytes().decode() if path.exists() else ""
     if not text.strip():
-        path.write_text(f"# circhad-checkpoint v1 fingerprint={fingerprint} order={order}\n")
+        path.write_text(f"{_CHECKPOINT_HEADER}fingerprint={fingerprint} order={order}\n")
         return {}
     lines = text.splitlines(keepends=True)
-    if not lines[0].startswith("# circhad-checkpoint v1 "):
+    if not lines[0].startswith(_CHECKPOINT_HEADER):
+        if lines[0].startswith("# circhad-checkpoint "):
+            raise ValueError(f"{path}: checkpoint has an older format; start a new checkpoint file")
         raise ValueError(f"{path}: not a checkpoint file")
     if f"fingerprint={fingerprint}" not in lines[0]:
         raise ValueError(f"{path}: checkpoint was written for a different search configuration")
@@ -237,6 +242,8 @@ def _parse_checkpoint_line(line: str, partitions: int) -> tuple[int, _PartitionO
     if [pair[0] for pair in pairs] != _CHECKPOINT_FIELDS or any(len(pair) != 2 for pair in pairs):
         raise ValueError("expected the fields " + ", ".join(_CHECKPOINT_FIELDS))
     fields = dict(pairs)
+    if fields["crc"] != _crc(line[: line.rindex(" crc=")]):
+        raise ValueError("line does not match its crc")
     prefix = int(fields["prefix"], 16)
     masks = [int(x, 16) for x in fields["masks"].split(",") if x]
     if not 0 <= prefix < partitions:
@@ -251,13 +258,18 @@ def _parse_checkpoint_line(line: str, partitions: int) -> tuple[int, _PartitionO
     )
 
 
+def _crc(text: str) -> str:
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
 def _checkpoint_line(prefix: int, outcome: _PartitionOutcome) -> str:
     masks = ",".join(f"0x{mask:x}" for mask in outcome.found_masks)
-    return (
+    body = (
         f"prefix=0x{prefix:x} survivors={len(outcome.found_masks)} "
         f"reached={outcome.reached} crosschecked={outcome.crosschecked} "
         f"mismatches={outcome.mismatches} masks={masks}"
     )
+    return f"{body} crc={_crc(body)}"
 
 
 def search(config: SearchConfig) -> SearchResult:

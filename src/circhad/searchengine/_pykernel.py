@@ -148,24 +148,27 @@ def _bound_violated(partial, k, m, nshift) -> bool:
 
 
 def masks_to_rows(masks: np.ndarray, m: int) -> np.ndarray:
-    """Sign matrix (len(masks) x m) from row bitmasks."""
+    """Float64 sign matrix (len(masks) x m) from row bitmasks."""
     shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
     bits = (masks[:, None] >> shifts[None, :]) & 1
-    return 1 - 2 * bits.astype(np.int64)
+    return 1.0 - 2.0 * bits
 
 
 def gram_hadamard_batch(masks: np.ndarray, m: int, chunk: int = 4096) -> np.ndarray:
     """Ground-truth gram verdict for each mask: circulant M satisfies MM^T = mI.
 
     Builds the actual circulant and multiplies it out; deliberately never uses
-    the autocorrelation shortcut it is meant to check.
+    the autocorrelation shortcut it is meant to check. The products run in
+    float64 BLAS and are exact, because every entry and partial sum is an
+    integer of magnitude at most m, far below 2^53.
     """
     verdicts = np.empty(len(masks), dtype=bool)
     circ_idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    target = m * np.eye(m, dtype=np.int64)
+    target = m * np.eye(m)
     for start in range(0, len(masks), chunk):
         rows = masks_to_rows(masks[start : start + chunk], m)
         circs = rows[:, circ_idx]
+        # Exact: every partial sum is an integer of magnitude <= m < 2^53.
         grams = circs @ circs.transpose(0, 2, 1)
         verdicts[start : start + len(rows)] = np.all(grams == target, axis=(1, 2))
     return verdicts

@@ -5,7 +5,8 @@ import pytest
 
 import circhad.searchengine as engine
 from circhad import group_by_name, is_rg_matrix, parse_matrix_document
-from circhad.cli import main
+from circhad.cli import _parse_row, main
+from circhad.groupring import RECOVERY_NODE_BUDGET
 from circhad.groups import Listing
 
 EQ1_TEXT = "+++-\n-+++\n+-++\n++-+\n"
@@ -75,7 +76,7 @@ def test_search_capacity_exit_three(capsys):
 def test_search_with_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "run.ckpt"
     assert main(["search", "--order", "12", "--checkpoint", str(ckpt), "--workers", "2"]) == 0
-    assert ckpt.read_text().startswith("# circhad-checkpoint v1 ")
+    assert ckpt.read_text().startswith("# circhad-checkpoint v2 ")
 
 
 def test_analyze_balanced_row(capsys):
@@ -100,6 +101,13 @@ def test_analyze_paired_layout(capsys):
 
 def test_analyze_rejects_garbage(capsys):
     assert main(["analyze", "--row", "+*+-"]) == 2
+
+
+def test_parse_row_reads_signs_and_rejects_other_characters(capsys):
+    assert _parse_row("+ -\t+-\n-").tolist() == [1, -1, 1, -1, -1]
+    for row in ("+0+-", "++x-", "+\u2212+-", "+-.+"):
+        assert main(["analyze", "--row", row]) == 2
+        assert "row may only contain" in capsys.readouterr().err
 
 
 def test_construct_to_stdout(capsys):
@@ -159,6 +167,18 @@ def test_recover_and_verify_use_the_header_listing(tmp_path, capsys):
     assert main(["verify", str(path), "--group", "C2xC8xC4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rg"] == {"group": "C2xC8xC4", "rg_matrix": True, "listing": list(doc.listing)}
+
+
+def test_recover_without_header_listing_stops_at_the_node_budget(tmp_path, capsys):
+    path = tmp_path / "ext64.txt"
+    assert main(["construct", "--family", "c2c8", "--extend", "c4", "--times", "1",
+                 "--out", str(path)]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("listing:")))
+    assert main(["recover", "--file", str(path), "--group", "C2xC8xC4"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("capacity error: listing recovery over C2xC8xC4 gave up after exploring "
+                   f"{RECOVERY_NODE_BUDGET} nodes\n")
 
 
 def test_bad_header_listing_falls_back_to_recovery(tmp_path, capsys):

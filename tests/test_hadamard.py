@@ -15,7 +15,8 @@ from circhad import (
     paf_is_flat,
     quaternion_c2_matrix,
 )
-from circhad.searchengine import mask_to_signs
+from circhad.constructions import FAMILIES, kronecker_extend, with_recovered_listing
+from circhad.searchengine import _pykernel, mask_to_signs
 
 EQ1 = np.array([[1, 1, 1, -1], [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
 
@@ -133,6 +134,57 @@ def test_circulant_gram_rows_are_shifted_paf_exhaustive(m):
         assert np.array_equal(p, pafs[mask])
         for i in range(m):
             assert np.array_equal(g[i], np.roll(p, i))
+
+
+def int_gram_report(arr):
+    # int64 reference for every field of the gram report
+    arr = np.asarray(arr, dtype=np.int64)
+    g = arr @ arr.T
+    off = g[~np.eye(len(arr), dtype=bool)]
+    return {
+        "gram": g,
+        "diagonal_values": set(np.diagonal(g).tolist()),
+        "max_off_diagonal": int(np.abs(off).max()) if off.size else 0,
+        "row_sums": arr.sum(axis=1).tolist(),
+        "col_sums": arr.sum(axis=0).tolist(),
+        "negatives_per_row": (arr == -1).sum(axis=1).tolist(),
+    }
+
+
+def c4_power(times):
+    construction = with_recovered_listing(FAMILIES["c4"]())
+    for _ in range(times):
+        construction = kronecker_extend(construction, FAMILIES["c4"]())
+    return construction.matrix.entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
+def test_gram_is_exact_against_int64_reference(n):
+    rng = np.random.default_rng(n)
+    same_rows = np.tile(rng.choice([1, -1], n), (n, 1))
+    cases = [rng.choice([1, -1], (n, n)) for _ in range(3)] + [same_rows]
+    if n in (16, 64, 256):
+        cases.append(c4_power({16: 1, 64: 2, 256: 3}[n]))
+    for arr in cases:
+        ref = int_gram_report(arr)
+        g = gram(arr)
+        assert g.dtype == np.int64
+        assert np.array_equal(g, ref["gram"])
+        report = is_hadamard(arr)
+        assert report.is_hadamard == (ref["diagonal_values"] == {n} and ref["max_off_diagonal"] == 0)
+        for name in ("diagonal_values", "max_off_diagonal", "row_sums", "col_sums",
+                     "negatives_per_row"):
+            assert getattr(report, name) == ref[name], name
+    # identical rows: every off-diagonal entry is n, the largest a gram entry can be
+    assert np.array_equal(gram(same_rows), np.full((n, n), n))
+    assert is_hadamard(same_rows).max_off_diagonal == (n if n > 1 else 0)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_gram_batch_agrees_with_paf_on_every_row(m):
+    masks = np.arange(1 << m, dtype=np.uint64)
+    verdicts = _pykernel.gram_hadamard_batch(masks, m)
+    assert verdicts.tolist() == [paf_is_flat(mask_to_signs(mask, m)) for mask in range(1 << m)]
 
 
 def test_admissible_counts_order_4():

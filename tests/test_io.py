@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -18,6 +19,8 @@ from circhad import (
     parse_sign_matrix,
     search,
 )
+from circhad.cli import main
+from circhad.constructions import FAMILIES, kronecker_extend, with_recovered_listing
 
 EQ1_TEXT = "+++-\n-+++\n+-++\n++-+\n"
 
@@ -87,6 +90,38 @@ def test_document_roundtrip_random(fmt):
         else:
             parsed = parse_matrix_document(emitted)
         assert np.array_equal(parsed.to_sign_matrix().entries, entries)
+
+
+def signs_reference(rows):
+    # the per-character conversions the vectorised ones replace
+    return np.array([[1 if ch == "+" else -1 for ch in row] for row in rows], dtype=np.int64)
+
+
+def rows_reference(entries):
+    return ["".join("+" if v == 1 else "-" for v in row) for row in entries]
+
+
+def test_text_conversions_match_per_character_reference():
+    rng = np.random.default_rng(67)
+    matrices = [rng.choice([1, -1], (n, n)) for n in (1, 2, 3, 7, 64, 300)]
+    for family in FAMILIES.values():
+        matrices.append(family().matrix.entries)
+        extended = kronecker_extend(with_recovered_listing(family()), FAMILIES["c2c2"]())
+        matrices.append(extended.matrix.entries)
+    for entries in matrices:
+        doc = MatrixDocument.from_sign_matrix(SignMatrix(entries))
+        assert doc.rows == rows_reference(entries)
+        parsed = doc.to_sign_matrix().entries
+        assert np.array_equal(parsed, signs_reference(doc.rows))
+        assert np.array_equal(parsed, entries)
+
+
+def test_construct_1024_writes_the_same_bytes(tmp_path):
+    path = tmp_path / "m1024.txt"
+    assert main(["construct", "--family", "c4", "--extend", "c4", "--times", "4",
+                 "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "ca79a628db39380fc4fdad77a8def0fb5266ea0ffcf1af3d896aa55ea1acdb2c"
 
 
 def test_document_header_roundtrip():

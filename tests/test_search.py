@@ -7,6 +7,7 @@ import pytest
 
 import circhad.searchengine as engine
 from circhad import CapacityError, FormatError, SearchConfig, canonicalize, search
+from circhad.cli import main
 from circhad.searchengine import _npkernel, _pykernel, mask_to_signs, mask_to_string, signs_to_mask
 
 KERNELS = [_pykernel, _npkernel]
@@ -214,7 +215,7 @@ def test_checkpoint_roundtrip(tmp_path):
     config = SearchConfig(order=12, row_sum=False, checkpoint_path=path, partition_depth=4)
     first = search(config)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# circhad-checkpoint v1 ")
+    assert lines[0].startswith("# circhad-checkpoint v2 ")
     body = [line for line in lines[1:] if line.strip()]
     assert len(body) == 16
     for line in body:
@@ -268,6 +269,47 @@ def test_checkpoint_rejects_bad_line_before_the_last(tmp_path, corrupt):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         search(config)
+
+
+def order4_resume_argv(path):
+    # the CLI form of SearchConfig(order=4, row_sum=False, partition_depth=2, checkpoint_path=path)
+    return ["search", "--order", "4", "--no-filter", "row_sum", "--partition-depth", "2",
+            "--checkpoint", str(path)]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        # a write cut inside masks= that still ends with a newline: the mask parses
+        lambda line: line[: line.index("masks=0x7") + len("masks=0")] + "\n",
+        # one changed digit: every field is there and survivors= still matches
+        lambda line: line.replace("masks=0x7", "masks=0x6"),
+    ],
+    ids=["cut-mask", "changed-digit"],
+)
+def test_checkpoint_crc_catches_a_damaged_mask(tmp_path, capsys, damage):
+    path = tmp_path / "search.ckpt"
+    config = SearchConfig(order=4, row_sum=False, checkpoint_path=path, partition_depth=2)
+    expected = search(config).deterministic_payload()
+    lines = path.read_text().splitlines(keepends=True)
+    damaged = damage(lines[-1])
+    path.write_text("".join(lines[:-1]) + damaged)
+    assert search(config).deterministic_payload() == expected
+    assert path.read_text() == "".join(lines)
+    # the same damage on an earlier line is refused
+    path.write_text("".join(lines[:-2]) + damaged + lines[-2])
+    assert main(order4_resume_argv(path)) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_checkpoint_refuses_version_one(tmp_path, capsys):
+    path = tmp_path / "search.ckpt"
+    config = SearchConfig(order=4, row_sum=False, checkpoint_path=path, partition_depth=2)
+    search(config)
+    path.write_text(path.read_text().replace("# circhad-checkpoint v2 ", "# circhad-checkpoint v1 "))
+    assert main(order4_resume_argv(path)) == 2
+    err = capsys.readouterr().err
+    assert "older format" in err and err.count("\n") == 1
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
