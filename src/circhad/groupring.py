@@ -219,11 +219,15 @@ def recover_listing(m, group: Group) -> Listing | None:
                     return False
         return True
 
-    def extend(p: int) -> bool:
-        nonlocal nodes
-        if p == n:
-            return True
-        for e in range(n):
+    # Depth-first over positions with an explicit stack, so the depth is not
+    # bounded by Python's recursion limit: untried[i] iterates the elements
+    # still to try at position i + 1, learned_by[i] holds the coefficients
+    # that the placement there fixed.
+    untried = [iter(range(n))]
+    learned_by: list[list[int]] = []
+    while len(perm) < n:
+        p = len(perm)
+        for e in untried[-1]:
             if used[e]:
                 continue
             if nodes == RECOVERY_NODE_BUDGET:
@@ -235,14 +239,17 @@ def recover_listing(m, group: Group) -> Listing | None:
             if consistent(p, e, learned):
                 perm.append(e)
                 used[e] = True
-                if extend(p + 1):
-                    return True
-                used[e] = False
-                perm.pop()
+                learned_by.append(learned)
+                untried.append(iter(range(n)))
+                break
             for g in learned:
                 coeffs[g] = UNKNOWN
-        return False
-
-    if extend(1):
-        return Listing(group, perm)
-    return None
+        else:
+            # every element failed at position p: undo the placement before it
+            untried.pop()
+            if not learned_by:
+                return None
+            used[perm.pop()] = False
+            for g in learned_by.pop():
+                coeffs[g] = UNKNOWN
+    return Listing(group, perm)

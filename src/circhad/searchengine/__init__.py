@@ -16,6 +16,13 @@ The inner scan runs on a vectorised numpy kernel; its pure-Python twin in
 `_pykernel` is the readable reference that the tests hold it to.
 `KERNEL_BACKEND` names the kernel in use. The kernel is not trusted alone:
 every found row is re-verified with the gram oracle.
+
+The pending partitions go to the kernel's `scan_partitions` as one batched
+frontier of at most `_npkernel.FRONTIER_CAP` nodes per level, which yields
+each partition's result in prefix order as soon as it is final; so a
+checkpoint line is appended as each partition finishes. With more than one
+worker, contiguous chunks of the pending partitions are scanned in forked
+worker processes, and their results are recorded in partition order.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +47,8 @@ _kernel = _npkernel
 KERNEL_BACKEND: str = _kernel.BACKEND
 
 RAW_ENUMERATION_LIMIT = 28
-KERNEL_ORDER_LIMIT = 32
+KERNEL_ORDER_LIMIT = 64  # masks are uint64
+CHUNKS_PER_WORKER = 4  # jobs per worker process: enough to even out partitions of unequal cost
 
 
 @dataclass
@@ -272,6 +279,25 @@ def _checkpoint_line(prefix: int, outcome: _PartitionOutcome) -> str:
     return f"{body} crc={_crc(body)}"
 
 
+def _scan(prefixes: list[int], scan: tuple):
+    """(prefix, outcome) for each of the sorted prefixes, in order, from one batched kernel scan."""
+    m, depth, *filters = scan
+    for prefix, reached, found_masks, crosschecked, mismatches in _kernel.scan_partitions(
+        m, prefixes, depth, *filters
+    ):
+        yield prefix, _PartitionOutcome(
+            reached=int(reached),
+            found_masks=sorted(int(x) for x in found_masks),
+            crosschecked=int(crosschecked),
+            mismatches=int(mismatches),
+        )
+
+
+def _scan_chunk(job: tuple[list[int], tuple]) -> list[tuple[int, _PartitionOutcome]]:
+    """One worker process's job: `_scan` over a contiguous chunk of the pending prefixes."""
+    return list(_scan(*job))
+
+
 def search(config: SearchConfig) -> SearchResult:
     """Run the staged enumeration described in the module docstring."""
     config.validate()
@@ -319,27 +345,9 @@ def search(config: SearchConfig) -> SearchResult:
         fingerprint = _config_fingerprint(config, pdepth)
         outcomes.update(_load_checkpoint(checkpoint, fingerprint, m, 1 << pdepth))
     if must_enumerate:
-        prefixes = list(range(1 << pdepth))
-        depth = pdepth + depth_extra
-        todo = [p for p in prefixes if p not in outcomes]
-
-        def run_partition(prefix: int) -> tuple[int, _PartitionOutcome]:
-            reached, found_masks, crosschecked, mismatches = _kernel.scan_subtree(
-                m,
-                prefix,
-                depth,
-                config.row_sum,
-                adm_mask,
-                config.balance,
-                config.paf_prefix,
-                cc_threshold,
-            )
-            return prefix, _PartitionOutcome(
-                reached=int(reached),
-                found_masks=sorted(int(x) for x in found_masks),
-                crosschecked=int(crosschecked),
-                mismatches=int(mismatches),
-            )
+        todo = [p for p in range(1 << pdepth) if p not in outcomes]
+        scan = (m, pdepth + depth_extra, config.row_sum, adm_mask, config.balance,
+                config.paf_prefix, cc_threshold)
 
         def record(prefix: int, outcome: _PartitionOutcome) -> None:
             outcomes[prefix] = outcome
@@ -348,12 +356,21 @@ def search(config: SearchConfig) -> SearchResult:
                     fh.write(_checkpoint_line(prefix, outcome) + "\n")
 
         if config.workers > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                for prefix, outcome in pool.map(run_partition, todo):
-                    record(prefix, outcome)
+            # Imported here, because the pool's modules add about 15 ms and
+            # 1.3 MB to every start-up. Workers are forked: a spawned worker
+            # imports numpy afresh, which costs more than an order-20 search.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            n = min(len(todo), config.workers * CHUNKS_PER_WORKER)
+            jobs = [(todo[i * len(todo) // n : (i + 1) * len(todo) // n], scan) for i in range(n)]
+            with ProcessPoolExecutor(min(config.workers, n), mp_context=get_context("fork")) as pool:
+                for chunk in pool.map(_scan_chunk, jobs):
+                    for prefix, outcome in chunk:
+                        record(prefix, outcome)
         else:
-            for prefix in todo:
-                record(*run_partition(prefix))
+            for prefix, outcome in _scan(todo, scan):
+                record(prefix, outcome)
 
     t_enumeration = time.perf_counter() - t1
     t2 = time.perf_counter()

@@ -136,6 +136,22 @@ def scan_subtree(
     return reached, found, crosschecked, mismatches
 
 
+def scan_partitions(
+    m: int,
+    prefixes: list[int],
+    depth: int,
+    row_sum_on: bool,
+    adm_mask: int,
+    balance_on: bool,
+    paf_prefix_on: bool,
+    cc_threshold: int,
+):
+    """Yield (prefix, *scan_subtree(...)) for each of the sorted prefixes, in order."""
+    for prefix in prefixes:
+        yield (prefix, *scan_subtree(m, prefix, depth, row_sum_on, adm_mask, balance_on,
+                                     paf_prefix_on, cc_threshold))
+
+
 def _bound_violated(partial, k, m, nshift) -> bool:
     # After assigning index k, shift s has k+1-s settled products of the m total;
     # a flat autocorrelation is impossible once |partial| exceeds what is left.

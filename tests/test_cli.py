@@ -1,4 +1,5 @@
 import json
+import os
 import types
 
 import pytest
@@ -78,6 +79,41 @@ def test_search_with_checkpoint(tmp_path, capsys):
     assert main(["search", "--order", "12", "--checkpoint", str(ckpt), "--workers", "2"]) == 0
     assert ckpt.read_text().startswith("# circhad-checkpoint v2 ")
 
+
+
+def search_output(argv, capsys):
+    """A search's stdout without its wall-clock lines, which differ run to run."""
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("time "))
+
+
+def partitioned_search(order, workers):
+    return ["search", "--order", order, "--no-filter", "row_sum", "--partition-depth", "6",
+            "--workers", workers, "--checkpoint"]
+
+
+@pytest.mark.parametrize("order", ["4", "16"])
+def test_checkpoint_bytes_do_not_depend_on_workers(tmp_path, capsys, order):
+    files = []
+    for workers in ("1", "2", "8"):
+        path = tmp_path / f"workers{workers}.ckpt"
+        search_output(partitioned_search(order, workers) + [str(path)], capsys)
+        files.append(path.read_bytes())
+    assert files[1] == files[0] and files[2] == files[0]
+
+
+@pytest.mark.parametrize("order", ["4", "16"])
+def test_resume_from_half_checkpoint_with_two_workers(tmp_path, capsys, order):
+    unbroken = tmp_path / "unbroken.ckpt"
+    expected = search_output(partitioned_search(order, "2") + [str(unbroken)], capsys)
+    assert expected == search_output(["search", "--order", order, "--no-filter", "row_sum"], capsys)
+    lines = unbroken.read_text().splitlines(keepends=True)
+    half = tmp_path / "half.ckpt"
+    half.write_text("".join(lines[:1] + lines[1::2]))
+    assert search_output(partitioned_search(order, "2") + [str(half)], capsys) == expected
+    # the lines that were kept stay as they were, and the missing ones follow in order
+    assert half.read_text() == "".join(lines[:1] + lines[1::2] + lines[2::2])
 
 def test_analyze_balanced_row(capsys):
     assert main(["analyze", "--row", "+++-"]) == 0
@@ -181,6 +217,22 @@ def test_recover_without_header_listing_stops_at_the_node_budget(tmp_path, capsy
                    f"{RECOVERY_NODE_BUDGET} nodes\n")
 
 
+
+def test_recover_without_header_listing_at_order_1024(tmp_path, capsys):
+    # one placement per position: deeper than Python's recursion limit
+    path = tmp_path / "m1024.txt"
+    assert main(["construct", "--family", "c4", "--extend", "c4", "--times", "4",
+                 "--out", str(path)]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("listing:")))
+    group = group_by_name("C4xC4xC4xC4xC4")
+    code = main(["recover", "--file", str(path), "--group", group.name, "--format", "json"])
+    assert code in (0, 3)
+    if code == 0:
+        listing = json.loads(capsys.readouterr().out)["listing"]
+        matrix = parse_matrix_document(path.read_text()).to_sign_matrix()
+        assert is_rg_matrix(matrix, group, Listing(group, listing))
+
 def test_bad_header_listing_falls_back_to_recovery(tmp_path, capsys):
     # eq1 relabelled so that neither the natural nor the paired listing works
     path = tmp_path / "relabelled.txt"
@@ -192,16 +244,31 @@ def test_bad_header_listing_falls_back_to_recovery(tmp_path, capsys):
     assert payload["rg"] == {"group": "C4", "rg_matrix": True, "listing": [0, 1, 3, 2]}
 
 
-def test_internal_fault_exit_four(monkeypatch, capsys):
-    def scan_subtree(m, *args):
-        return 1, [0b1], 0, 0  # +...+- is not flat, so the gram oracle rejects it
+def claims_a_bad_row(m, prefixes, *args):
+    for prefix in prefixes:
+        yield prefix, 1, [0b1], 0, 0  # +...+- is not flat, so the gram oracle rejects it
 
-    faulty = types.SimpleNamespace(BACKEND="faulty", scan_subtree=scan_subtree)
+
+def raises(m, prefixes, *args):
+    raise RuntimeError(f"kernel fault in process {os.getpid()}")
+
+
+def test_internal_fault_exit_four(monkeypatch, capsys):
+    faulty = types.SimpleNamespace(BACKEND="faulty", scan_partitions=claims_a_bad_row)
     monkeypatch.setattr(engine, "_kernel", faulty)
     assert main(["search", "--order", "12", "--no-filter", "row_sum"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: ")
     assert err.count("\n") == 1
+
+
+def test_fault_inside_a_worker_process_exits_four(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "_kernel", types.SimpleNamespace(BACKEND="faulty", scan_partitions=raises))
+    assert main(["search", "--order", "12", "--no-filter", "row_sum", "--workers", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: kernel fault in process ")
+    assert err.count("\n") == 1
+    assert int(err.split()[-1]) != os.getpid()
 
 
 def test_recover_wrong_order_exit_two(eq1_file, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import circhad.groupring as groupring
 from circhad import (
+    CapacityError,
     GroupRingElement,
     Listing,
     SignMatrix,
@@ -19,6 +21,7 @@ from circhad import (
     rg_matrix,
     rg_sign_matrix,
 )
+from circhad.constructions import c2c8_matrix, quaternion_c2_matrix
 
 EQ1 = np.array([[1, 1, 1, -1], [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
 BLOCKED = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, -1, 1, 1]])
@@ -193,6 +196,25 @@ def test_recover_listing_soundness_on_random_rg_matrices():
             assert found is not None
             assert is_rg_matrix(matrix, g, found)
 
+
+
+@pytest.mark.parametrize("name, nodes, found", [("c16", 26_719, False), ("q8c2", 42_613, True)])
+def test_recover_listing_explores_a_fixed_number_of_nodes(monkeypatch, name, nodes, found):
+    # recovery explores exactly this many nodes; a budget one node short stops it
+    if name == "c16":
+        matrix, group = c2c8_matrix().matrix, cyclic_group(16)
+    else:
+        construction = quaternion_c2_matrix()
+        matrix, group = construction.matrix, construction.group
+    monkeypatch.setattr(groupring, "RECOVERY_NODE_BUDGET", nodes)
+    listing = recover_listing(matrix, group)
+    assert (listing is not None) == found
+    if found:
+        assert listing.perm[:8] == (0, 2, 4, 6, 8, 10, 12, 14)
+        assert is_rg_matrix(matrix, group, listing)
+    monkeypatch.setattr(groupring, "RECOVERY_NODE_BUDGET", nodes - 1)
+    with pytest.raises(CapacityError, match=f"after exploring {nodes - 1} nodes"):
+        recover_listing(matrix, group)
 
 def test_sign_matrix_validation():
     with pytest.raises(ValueError):

@@ -117,6 +117,78 @@ def test_kernels_agree(m, row_sum, balance, paf_prefix):
                 assert _npkernel.scan_subtree(*args) == _pykernel.scan_subtree(*args), args
 
 
+def partition_lists(reference):
+    """The prefix lists the batched scan is held to, from every prefix's reference result."""
+    prefixes = [entry[0] for entry in reference]
+    lists = {"all": prefixes, "every other": prefixes[1::2], "single": prefixes[len(prefixes) // 2 :][:1]}
+    empty = [entry[0] for entry in reference if entry[1] == 0 and not entry[2]]
+    if empty:
+        lists["pruned empty"] = sorted({prefixes[0], empty[0], prefixes[-1]})
+    return lists
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12, 16])
+@pytest.mark.parametrize("row_sum, balance, paf_prefix", itertools.product([False, True], repeat=3))
+def test_scan_partitions_matches_per_prefix_scans(m, row_sum, balance, paf_prefix):
+    _, adm_mask = engine._admissible_mask(m)
+    depths = sorted(d for d in {1, 3, 5, m} if d <= m and (m < 16 or d == 5))
+    # the Python kernel's loop over all prefixes is the reference itself, so
+    # it runs on the shorter lists only; orders 12 and 16 trim the thresholds
+    thresholds = {12: (1 << 31,), 16: (0,)}.get(m, (0, 1 << 31))
+    for depth, threshold in itertools.product(depths, thresholds):
+        filters = (row_sum, adm_mask, balance, paf_prefix, threshold)
+        reference = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in range(1 << depth)]
+        by_prefix = {entry[0]: entry for entry in reference}
+        for name, prefixes in partition_lists(reference).items():
+            expected = [by_prefix[p] for p in prefixes]
+            for module in KERNELS if name != "all" else [_npkernel]:
+                got = list(module.scan_partitions(m, prefixes, depth, *filters))
+                assert got == expected, (module.BACKEND, name, depth, filters)
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_scan_partitions_in_order_through_small_frontiers(monkeypatch, cap):
+    # tiny caps split nearly every level, so partitions finish across many batches
+    monkeypatch.setattr(_npkernel, "FRONTIER_CAP", cap)
+    m, depth = 12, 4
+    _, adm_mask = engine._admissible_mask(m)
+    for filters in ((False, adm_mask, False, False, 1 << 31), (True, adm_mask, True, True, 1 << 31),
+                    (False, adm_mask, True, True, 0)):
+        reference = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in range(1 << depth)]
+        for prefixes in partition_lists(reference).values():
+            expected = [entry for entry in reference if entry[0] in prefixes]
+            assert list(_npkernel.scan_partitions(m, prefixes, depth, *filters)) == expected
+
+
+@pytest.mark.parametrize(
+    "m, depth, prefixes",
+    [
+        # random row[0] = + prefixes, from random.Random(m).getrandbits(depth - 1)
+        (36, 20, [0x2A12D, 0x778A, 0x7DD9F, 0x2AB3, 0x7AC89]),
+        (64, 46, [0x139DA1560927, 0x11286769FC6F, 0x15FAEB86B180]),
+    ],
+)
+def test_kernels_agree_on_deep_subtrees_of_large_orders(m, depth, prefixes):
+    assert m <= engine.KERNEL_ORDER_LIMIT
+    _, adm_mask = engine._admissible_mask(m)
+    filters = (True, adm_mask, True, True, 1 << 31)
+    expected = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in sorted(prefixes)]
+    assert sum(entry[1] for entry in expected) > 0
+    assert list(_npkernel.scan_partitions(m, sorted(prefixes), depth, *filters)) == expected
+    for entry in expected:
+        assert _npkernel.scan_subtree(m, entry[0], depth, *filters) == entry[1:]
+
+
+def test_order_limit_is_the_mask_width(capsys):
+    assert engine.KERNEL_ORDER_LIMIT == 64
+    # orders 65 to 80 admit no row sum, so they are answered without a kernel
+    assert main(["search", "--order", "65", "--force"]) == 0
+    assert "stage row_sum: 0" in capsys.readouterr().out
+    # 81 is the first order above the limit that leaves rows to enumerate
+    assert main(["search", "--order", "81", "--force"]) == 3
+    assert capsys.readouterr().err == "capacity error: enumeration kernels support orders up to 64\n"
+
+
 def test_kernels_agree_through_search(monkeypatch):
     results = []
     for module in KERNELS:
@@ -155,8 +227,8 @@ def test_capacity_rules():
     with pytest.raises(CapacityError):
         search(SearchConfig(order=100))
     # the override lifts the survivor-count refusal but not the kernel's order cap
-    with pytest.raises(CapacityError):
-        search(SearchConfig(order=36, allow_large=True))
+    with pytest.raises(CapacityError, match="orders up to"):
+        search(SearchConfig(order=81, allow_large=True))
     # non-square orders above the raw limit are emptied by the row-sum filter
     result = search(SearchConfig(order=40))
     assert result.stage_counts["row_sum"] == 0
