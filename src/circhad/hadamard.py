@@ -1,8 +1,10 @@
 """Exact Hadamard/regularity verification and the counting constraints behind it.
 
 Every verdict here is exact. The gram product is the ground-truth oracle; it
-runs as a float64 BLAS product, which is exact because every entry and partial
-sum of a +-1 gram product is an integer of magnitude at most n, far below 2^53.
+runs as a float32 BLAS product, which is exact because every entry and partial
+sum of a +-1 gram product is an integer of magnitude at most n, and float32
+holds every integer up to 2^24 exactly; an n x n matrix with n > 2^24 would
+not fit in memory.
 The periodic autocorrelation view of circulants is a fast equivalent route that
 the tests cross-check against it rather than trust.
 """
@@ -18,8 +20,9 @@ from .groupring import as_sign_array
 
 
 def _float_gram(arr: np.ndarray) -> np.ndarray:
-    f = arr.astype(np.float64)
-    # Exact: every partial sum is an integer of magnitude <= n < 2^53.
+    f = arr.astype(np.float32)
+    # Exact in any summation order: every partial sum is an integer of
+    # magnitude <= n <= 2^24.
     return f @ f.T
 
 

@@ -164,10 +164,10 @@ def _bound_violated(partial, k, m, nshift) -> bool:
 
 
 def masks_to_rows(masks: np.ndarray, m: int) -> np.ndarray:
-    """Float64 sign matrix (len(masks) x m) from row bitmasks."""
+    """Float32 sign matrix (len(masks) x m) from row bitmasks."""
     shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
-    bits = (masks[:, None] >> shifts[None, :]) & 1
-    return 1.0 - 2.0 * bits
+    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float32)
+    return 1 - 2 * bits
 
 
 def gram_hadamard_batch(masks: np.ndarray, m: int, chunk: int = 4096) -> np.ndarray:
@@ -175,16 +175,18 @@ def gram_hadamard_batch(masks: np.ndarray, m: int, chunk: int = 4096) -> np.ndar
 
     Builds the actual circulant and multiplies it out; deliberately never uses
     the autocorrelation shortcut it is meant to check. The products run in
-    float64 BLAS and are exact, because every entry and partial sum is an
-    integer of magnitude at most m, far below 2^53.
+    float32 BLAS and are exact, because every entry and partial sum is an
+    integer of magnitude at most m <= 64, and float32 holds every integer up
+    to 2^24 exactly.
     """
     verdicts = np.empty(len(masks), dtype=bool)
     circ_idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    target = m * np.eye(m)
+    target = m * np.eye(m, dtype=np.float32)
     for start in range(0, len(masks), chunk):
         rows = masks_to_rows(masks[start : start + chunk], m)
         circs = rows[:, circ_idx]
-        # Exact: every partial sum is an integer of magnitude <= m < 2^53.
+        # Exact in any summation order: every partial sum is an integer of
+        # magnitude <= m <= 2^24.
         grams = circs @ circs.transpose(0, 2, 1)
         verdicts[start : start + len(rows)] = np.all(grams == target, axis=(1, 2))
     return verdicts

@@ -180,7 +180,8 @@ def test_recover_listing_not_found_on_broken_pattern():
     assert recover_listing(SignMatrix(entries), g) is None
 
 
-def test_recover_listing_soundness_on_random_rg_matrices():
+def random_rg_matrices():
+    # five +-1 RG-matrices under a random hidden listing over each order-8 group
     rng = np.random.default_rng(23)
     for factory in (
         lambda: cyclic_group(8),
@@ -191,30 +192,130 @@ def test_recover_listing_soundness_on_random_rg_matrices():
         for _ in range(5):
             w = GroupRingElement.from_signs(g, rng.choice([1, -1], g.order))
             hidden = Listing(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)]))
-            matrix = rg_sign_matrix(w, hidden)
-            found = recover_listing(matrix, g)
-            assert found is not None
-            assert is_rg_matrix(matrix, g, found)
+            yield rg_sign_matrix(w, hidden), g
 
 
+def test_recover_listing_soundness_on_random_rg_matrices():
+    for matrix, g in random_rg_matrices():
+        found = recover_listing(matrix, g)
+        assert found is not None
+        assert is_rg_matrix(matrix, g, found)
 
-@pytest.mark.parametrize("name, nodes, found", [("c16", 26_719, False), ("q8c2", 42_613, True)])
-def test_recover_listing_explores_a_fixed_number_of_nodes(monkeypatch, name, nodes, found):
-    # recovery explores exactly this many nodes; a budget one node short stops it
-    if name == "c16":
-        matrix, group = c2c8_matrix().matrix, cyclic_group(16)
-    else:
-        construction = quaternion_c2_matrix()
-        matrix, group = construction.matrix, construction.group
+
+def reference_recover_listing(m, group):
+    """The numpy-indexed search that the list-based one replaced, with no budget.
+
+    Returns the first listing's perm (or None) and the number of nodes explored.
+    """
+    arr = m.entries if isinstance(m, SignMatrix) else np.asarray(m, dtype=np.int64)
+    n = group.order
+    mul = group.mul_table
+    inv = group.inv_table
+    UNKNOWN = np.iinfo(np.int64).min
+    coeffs = np.full(n, UNKNOWN, dtype=np.int64)
+    perm = [0]
+    used = [False] * n
+    used[0] = True
+    coeffs[0] = arr[0, 0]
+    nodes = 0
+
+    def consistent(p, e, learned):
+        for q in range(p + 1):
+            f = perm[q] if q < p else e
+            for g, val in ((mul[inv[f], e], arr[q, p]), (mul[inv[e], f], arr[p, q])):
+                known = coeffs[g]
+                if known == UNKNOWN:
+                    coeffs[g] = val
+                    learned.append(g)
+                elif known != val:
+                    return False
+        return True
+
+    untried = [iter(range(n))]
+    learned_by = []
+    while len(perm) < n:
+        p = len(perm)
+        for e in untried[-1]:
+            if used[e]:
+                continue
+            nodes += 1
+            learned = []
+            if consistent(p, e, learned):
+                perm.append(e)
+                used[e] = True
+                learned_by.append(learned)
+                untried.append(iter(range(n)))
+                break
+            for g in learned:
+                coeffs[g] = UNKNOWN
+        else:
+            untried.pop()
+            if not learned_by:
+                return None, nodes
+            used[perm.pop()] = False
+            for g in learned_by.pop():
+                coeffs[g] = UNKNOWN
+    return tuple(perm), nodes
+
+
+def assert_recovery_matches_reference(monkeypatch, matrix, group):
+    # the reference's first listing (or None) within exactly its node count;
+    # a budget one node short stops the search
+    perm, nodes = reference_recover_listing(matrix, group)
     monkeypatch.setattr(groupring, "RECOVERY_NODE_BUDGET", nodes)
-    listing = recover_listing(matrix, group)
-    assert (listing is not None) == found
-    if found:
-        assert listing.perm[:8] == (0, 2, 4, 6, 8, 10, 12, 14)
-        assert is_rg_matrix(matrix, group, listing)
+    found = recover_listing(matrix, group)
+    assert (None if found is None else found.perm) == perm
     monkeypatch.setattr(groupring, "RECOVERY_NODE_BUDGET", nodes - 1)
     with pytest.raises(CapacityError, match=f"after exploring {nodes - 1} nodes"):
         recover_listing(matrix, group)
+    return perm, nodes
+
+
+def test_recover_listing_matches_reference_on_small_cases(monkeypatch):
+    g = cyclic_group(4)
+    broken = EQ1.copy()
+    broken[3, 0] = -broken[3, 0]
+    broken_diagonal = EQ1.copy()
+    broken_diagonal[3, 3] = -broken_diagonal[3, 3]
+    for entries, expected in ((EQ1, (0, 1, 2, 3)), (BLOCKED, (0, 2, 1, 3)), (broken, None),
+                              (broken_diagonal, None)):
+        assert assert_recovery_matches_reference(monkeypatch, SignMatrix(entries), g)[0] == expected
+    for matrix, group in random_rg_matrices():
+        assert assert_recovery_matches_reference(monkeypatch, matrix, group)[0] is not None
+
+
+def test_recover_listing_matches_reference_on_integer_matrices(monkeypatch):
+    # mostly zero coefficients: a coefficient learned as 0 is known, so the
+    # mark for an unknown one must not be an integer the matrix can hold
+    rng = np.random.default_rng(29)
+    for g in (cyclic_group(8), direct_product(cyclic_group(2), cyclic_group(4)), quaternion_group()):
+        for _ in range(5):
+            w = GroupRingElement(g, rng.choice([0, 0, 0, 1, -2], g.order))
+            hidden = Listing(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)]))
+            matrix = rg_matrix(w, hidden)
+            perm, _ = assert_recovery_matches_reference(monkeypatch, matrix, g)
+            assert perm is not None
+            assert is_rg_matrix(matrix, g, Listing(g, perm))
+
+
+@pytest.mark.parametrize("name, nodes, found", [
+    ("c16", 26_719, False), ("c2xc8", 5_587, True), ("q8c2", 42_613, True),
+])
+def test_recover_listing_explores_a_fixed_number_of_nodes(monkeypatch, name, nodes, found):
+    # recovery explores exactly this many nodes and returns the reference's listing
+    if name == "c16":
+        matrix, group = c2c8_matrix().matrix, cyclic_group(16)
+    else:
+        construction = c2c8_matrix() if name == "c2xc8" else quaternion_c2_matrix()
+        matrix, group = construction.matrix, construction.group
+    perm, explored = assert_recovery_matches_reference(monkeypatch, matrix, group)
+    assert explored == nodes
+    assert (perm is not None) == found
+    if found:
+        first = {"c2xc8": (0, 8, 1, 9, 2, 10, 3, 11), "q8c2": (0, 2, 4, 6, 8, 10, 12, 14)}
+        assert perm[:8] == first[name]
+        assert is_rg_matrix(matrix, group, Listing(group, perm))
+
 
 def test_sign_matrix_validation():
     with pytest.raises(ValueError):

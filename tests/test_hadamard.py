@@ -158,11 +158,13 @@ def c4_power(times):
     return construction.matrix.entries
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256, 2048])
 def test_gram_is_exact_against_int64_reference(n):
     rng = np.random.default_rng(n)
     same_rows = np.tile(rng.choice([1, -1], n), (n, 1))
-    cases = [rng.choice([1, -1], (n, n)) for _ in range(3)] + [same_rows]
+    cases = []
+    if n <= 256:  # the int64 reference product takes too long at 2048
+        cases = [rng.choice([1, -1], (n, n)) for _ in range(3)] + [same_rows]
     if n in (16, 64, 256):
         cases.append(c4_power({16: 1, 64: 2, 256: 3}[n]))
     for arr in cases:
@@ -177,7 +179,27 @@ def test_gram_is_exact_against_int64_reference(n):
             assert getattr(report, name) == ref[name], name
     # identical rows: every off-diagonal entry is n, the largest a gram entry can be
     assert np.array_equal(gram(same_rows), np.full((n, n), n))
-    assert is_hadamard(same_rows).max_off_diagonal == (n if n > 1 else 0)
+    report = is_hadamard(same_rows)
+    assert report.max_off_diagonal == (n if n > 1 else 0)
+    assert report.diagonal_values == {n}
+
+
+def float64_gram_batch(masks, m):
+    # the float64 product that the float32 one replaced
+    bits = (masks[:, None] >> np.arange(m - 1, -1, -1, dtype=np.uint64)[None, :]) & 1
+    circs = (1.0 - 2.0 * bits)[:, (np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
+    grams = circs @ circs.transpose(0, 2, 1)
+    return np.all(grams == m * np.eye(m), axis=(1, 2))
+
+
+@pytest.mark.parametrize("m", [16, 36, 64])
+def test_gram_batch_agrees_with_float64_product(m):
+    rng = np.random.default_rng(m)
+    masks = rng.integers(0, 1 << m, 512, dtype=np.uint64)
+    rows = _pykernel.masks_to_rows(masks, m)
+    assert rows.dtype == np.float32
+    assert rows.tolist() == [mask_to_signs(int(mask), m).tolist() for mask in masks]
+    assert _pykernel.gram_hadamard_batch(masks, m).tolist() == float64_gram_batch(masks, m).tolist()
 
 
 @pytest.mark.parametrize("m", range(1, 13))
