@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupring import Provenance, SignMatrix
+from .groupring import Provenance, SignMatrix, _all_signs
 
 Pair = tuple[int, int]
 
@@ -76,11 +76,12 @@ def block_system(row, layout: str = "natural") -> BlockSystem:
     row[k] with row[2n+k]. layout="paired": row is a row of the already-blocked
     matrix, so consecutive entries form the blocks.
     """
-    row = np.asarray(row, dtype=np.int64)
+    row = np.asarray(row)
     if row.ndim != 1 or row.size % 4 != 0 or row.size == 0:
         raise ValueError(f"row length must be a positive multiple of 4, got {row.size}")
-    if not np.all(np.abs(row) == 1):
+    if not _all_signs(row):
         raise ValueError("row entries must all be +1 or -1")
+    row = row.astype(np.int64)
     if layout not in ("natural", "paired"):
         raise ValueError(f"unknown layout {layout!r}")
     half = row.size // 2

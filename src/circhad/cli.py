@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import block_system, conditions_report, matching_report
 from .constructions import FAMILIES, kronecker_extend, with_recovered_listing
 from .errors import CapacityError, FormatError
-from .groups import Listing, group_by_name, natural_listing, paired_listing
+from .groups import Listing, group_by_name, is_cyclic_table, natural_listing, paired_listing
 from .groupring import is_rg_matrix, recover_listing
 from .hadamard import is_hadamard
 from .matrixio import (
@@ -74,9 +74,8 @@ def _cmd_verify(args) -> int:
         if args.listing in ("natural", "auto"):
             candidates.append(("natural", natural_listing(group)))
         if args.listing in ("paired", "auto"):
-            paired = paired_listing(matrix.size) if matrix.size % 4 == 0 else None
-            if paired is not None and paired.group == group:
-                candidates.append(("paired", paired))
+            if matrix.size % 4 == 0 and is_cyclic_table(group):
+                candidates.append(("paired", paired_listing(matrix.size, group)))
             elif args.listing == "paired":
                 raise FormatError("paired listing needs a cyclic group of order divisible by 4")
         rg_info = {"group": group.name, "rg_matrix": False, "listing": None}

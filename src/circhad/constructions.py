@@ -65,7 +65,7 @@ def _parse_display(text: str, expected_sha: str) -> np.ndarray:
     if digest != expected_sha:
         raise RuntimeError(f"embedded matrix data corrupted (sha256 {digest})")
     rows = [[1 if ch == "+" else -1 for ch in line] for line in canonical.splitlines()]
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int8)
 
 
 @dataclass
@@ -82,7 +82,7 @@ class NamedConstruction:
 
 def circulant_c4() -> NamedConstruction:
     """The 4x4 circulant Hadamard matrix with first row (+,+,+,-) over C4."""
-    row = np.array([1, 1, 1, -1], dtype=np.int64)
+    row = np.array([1, 1, 1, -1], dtype=np.int8)
     idx = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
     group = cyclic_group(4)
     return NamedConstruction(
@@ -96,7 +96,7 @@ def circulant_c4() -> NamedConstruction:
 def c2c2_matrix() -> NamedConstruction:
     """4x4 Hadamard matrix over the Klein group; RG under the natural listing."""
     entries = np.array(
-        [[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]], dtype=np.int64
+        [[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]], dtype=np.int8
     )
     group = direct_product(cyclic_group(2), cyclic_group(2))
     return NamedConstruction(
@@ -137,7 +137,7 @@ def trivial_construction() -> NamedConstruction:
     return NamedConstruction(
         name="trivial",
         group=group,
-        matrix=SignMatrix(np.array([[1]], dtype=np.int64)),
+        matrix=SignMatrix(np.array([[1]], dtype=np.int8)),
         listing=natural_listing(group),
     )
 

@@ -20,6 +20,10 @@ from .groups import Group, Listing, cyclic_group, natural_listing
 # about 1.1M a second on a 2-vCPU x86-64 VM, so it gives up within about 0.5 s.
 RECOVERY_NODE_BUDGET = 500_000
 
+# Rows that `is_rg_matrix` compares at once: an int32 index and a coefficient
+# block of 64 x n each, against n x n for the whole matrix.
+RG_BLOCK_ROWS = 64
+
 
 class GroupRingElement:
     """Integer-coefficient formal sum over a group's elements."""
@@ -38,7 +42,7 @@ class GroupRingElement:
     def from_signs(cls, group: Group, signs) -> "GroupRingElement":
         """Constructor restricted to +-1 coefficients (Hadamard candidates)."""
         elem = cls(group, signs)
-        if not np.all(np.abs(elem.coeffs) == 1):
+        if not _all_signs(signs):
             raise ValueError("coefficients must all be +1 or -1")
         return elem
 
@@ -70,22 +74,36 @@ class Provenance:
     source: str | None = None
 
 
-def _all_signs(a: np.ndarray) -> bool:
-    # Boolean masks only, so no n x n integer temporary is made.
+def _all_signs(values) -> bool:
+    """True iff every value is +1 or -1 as given, before any integer cast.
+
+    Checking before the cast keeps 1.5 (truncated to 1) and 257 (wrapped to 1
+    by int8) out. Boolean masks only, so no n x n integer temporary is made.
+    """
+    a = np.asarray(values)
     ok = a == 1
     ok |= a == -1
-    return bool(ok.all())
+    return bool(np.all(ok))
+
+
+def _square_signs(values) -> np.ndarray:
+    a = np.asarray(values)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not _all_signs(a):
+        raise ValueError("matrix entries must all be +1 or -1")
+    return a.astype(np.int8, copy=False)
 
 
 class SignMatrix:
-    """Dense square matrix with entries +1/-1 and optional provenance."""
+    """Dense square matrix with entries +1/-1 and optional provenance.
+
+    `entries` is int8, so products of it wrap: upcast before multiplying
+    (`entries.astype(np.int64)`), or use :func:`circhad.hadamard.gram`.
+    """
 
     def __init__(self, entries, provenance: Provenance | None = None):
-        entries = np.asarray(entries, dtype=np.int64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        if not _all_signs(entries):
-            raise ValueError("matrix entries must all be +1 or -1")
+        entries = _square_signs(entries)
         self.entries = entries
         self.size = int(entries.shape[0])
         self.provenance = provenance
@@ -101,21 +119,21 @@ class SignMatrix:
 
 
 def as_sign_array(m) -> np.ndarray:
-    """Coerce a SignMatrix/array-like to a validated +-1 integer ndarray."""
+    """Coerce a SignMatrix/array-like to a validated +-1 int8 ndarray."""
     if isinstance(m, SignMatrix):
         return m.entries
-    arr = np.asarray(m, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not _all_signs(arr):
-        raise ValueError("matrix entries must all be +1 or -1")
-    return arr
+    return _square_signs(m)
 
 
-def _pattern_index(group: Group, listing: Listing) -> np.ndarray:
-    """idx[r, c] = perm[r]^-1 * perm[c]; the element whose coefficient sits at (r, c)."""
+def _pattern_index(
+    group: Group, listing: Listing, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """idx[r - start, c] = perm[r]^-1 * perm[c], for rows start <= r < stop.
+
+    This is the element whose coefficient sits at (r, c).
+    """
     perm = np.asarray(listing.perm, dtype=np.int32)
-    rows = group.inv_table[perm]
+    rows = group.inv_table[perm[start:stop]]
     return group.mul_table[rows[:, None], perm[None, :]]
 
 
@@ -139,10 +157,10 @@ def rg_sign_matrix(w: GroupRingElement, listing: Listing) -> SignMatrix:
 
 def circulant_from_row(row) -> GroupRingElement:
     """Element of Z[C_m] whose natural-listing matrix is the circulant with this first row."""
-    row = np.asarray(row, dtype=np.int64)
+    row = np.asarray(row)
     if row.ndim != 1 or row.size < 1:
         raise ValueError("first row must be a nonempty vector")
-    if not np.all(np.abs(row) == 1):
+    if not _all_signs(row):
         raise ValueError("first row entries must all be +1 or -1")
     return GroupRingElement.from_signs(cyclic_group(row.size), row)
 
@@ -173,17 +191,22 @@ def is_rg_matrix(m, group: Group, listing: Listing) -> bool:
     """True iff every entry depends only on perm[r]^-1 * perm[c].
 
     Checks that some coefficient vector reproduces the whole matrix; the vector is
-    read off the first row and then verified everywhere.
+    read off the first row and then verified RG_BLOCK_ROWS rows at a time, so
+    no n x n index or coefficient copy is made.
     """
     arr = m.entries if isinstance(m, SignMatrix) else np.asarray(m, dtype=np.int64)
-    if arr.shape != (group.order, group.order):
-        raise ValueError(f"matrix shape {arr.shape} does not match group order {group.order}")
+    n = group.order
+    if arr.shape != (n, n):
+        raise ValueError(f"matrix shape {arr.shape} does not match group order {n}")
     if listing.group != group:
         raise ValueError("listing belongs to a different group")
-    idx = _pattern_index(group, listing)
-    coeffs = np.empty(group.order, dtype=np.int64)
-    coeffs[idx[0]] = arr[0]
-    return bool(np.array_equal(coeffs[idx], arr))
+    coeffs = np.empty(n, dtype=arr.dtype)
+    coeffs[_pattern_index(group, listing, 0, 1)[0]] = arr[0]
+    for start in range(0, n, RG_BLOCK_ROWS):
+        stop = start + RG_BLOCK_ROWS
+        if not np.array_equal(coeffs[_pattern_index(group, listing, start, stop)], arr[start:stop]):
+            return False
+    return True
 
 
 def recover_listing(m, group: Group) -> Listing | None:

@@ -128,13 +128,14 @@ def direct_product(g: Group, h: Group) -> Group:
         raise CapacityError(
             f"product order {g.order}*{h.order}={order} exceeds the supported maximum {MAX_GROUP_ORDER}"
         )
-    gm = g.mul_table.astype(np.int64)
-    hm = h.mul_table.astype(np.int64)
-    # mul[(a1,b1),(a2,b2)] = (a1*a2, b1*b2), all four coordinates broadcast at once
+    gm = g.mul_table
+    hm = h.mul_table
+    # mul[(a1,b1),(a2,b2)] = (a1*a2, b1*b2), all four coordinates broadcast at
+    # once; int32 throughout, since no index exceeds MAX_GROUP_ORDER.
     mul = (
-        gm[:, None, :, None] * h.order + hm[None, :, None, :]
+        gm[:, None, :, None] * np.int32(h.order) + hm[None, :, None, :]
     ).reshape(order, order)
-    inv = (g.inv_table.astype(np.int64)[:, None] * h.order + h.inv_table[None, :]).reshape(order)
+    inv = (g.inv_table[:, None] * np.int32(h.order) + h.inv_table[None, :]).reshape(order)
     return Group(f"{g.name}x{h.name}", mul, inv)
 
 
@@ -191,10 +192,22 @@ def natural_listing(group: Group) -> Listing:
     return Listing(group, range(group.order))
 
 
-def paired_listing(m: int) -> Listing:
+def is_cyclic_table(group: Group) -> bool:
+    """True iff the table is C_n's, element i being the i-th power of element 1.
+
+    Row 1 decides it: if 1 * b = b + 1 (mod n) for every b, then 1^k = k by
+    induction, so a * b = 1^(a+b) = (a + b) mod n everywhere. This relies on
+    the table being associative, as every table from `group_by_name` is.
+    """
+    n = group.order
+    return bool(np.array_equal(group.mul_table[1 % n], (np.arange(n) + 1) % n))
+
+
+def paired_listing(m: int, group: Group | None = None) -> Listing:
     """The order {0, 2n, 1, 2n+1, ..., 2n-1, 4n-1} of C_m, m = 4n.
 
     This ordering tiles the matrix of a cyclic-group element into 2x2 blocks.
+    `group` is a C_m table the caller already holds; without it one is built.
     """
     if m % 4 != 0:
         raise ValueError(f"paired listing needs an order divisible by 4, got {m}")
@@ -203,7 +216,11 @@ def paired_listing(m: int) -> Listing:
     for k in range(n2):
         perm.append(k)
         perm.append(n2 + k)
-    return Listing(cyclic_group(m), perm)
+    if group is None:
+        group = cyclic_group(m)
+    elif group.order != m or not is_cyclic_table(group):
+        raise ValueError(f"paired listing needs the table of C{m}, got {group.name}")
+    return Listing(group, perm)
 
 
 _FACTOR_RE = re.compile(r"^(C(\d+)|Q8)$", re.IGNORECASE)

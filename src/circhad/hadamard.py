@@ -1,10 +1,14 @@
 """Exact Hadamard/regularity verification and the counting constraints behind it.
 
-Every verdict here is exact. The gram product is the ground-truth oracle; it
-runs as a float32 BLAS product, which is exact because every entry and partial
-sum of a +-1 gram product is an integer of magnitude at most n, and float32
-holds every integer up to 2^24 exactly; an n x n matrix with n > 2^24 would
-not fit in memory.
+Every verdict here is exact. Matrices are stored as int8 +-1 entries, which
+hold every value exactly; sums over them (row and column sums, negative
+counts) are taken in int64, and products go through float32. The gram product
+is the ground-truth oracle; it runs as a float32 BLAS product, which is exact
+because every entry and partial sum of a +-1 gram product is an integer of
+magnitude at most n, and float32 holds every integer up to 2^24 exactly; an
+n x n matrix with n > 2^24 would not fit in memory. `is_hadamard` multiplies
+one block of rows at a time against the rows from that block on, which covers
+the upper triangle of the symmetric product with the same flops as a full one.
 The periodic autocorrelation view of circulants is a fast equivalent route that
 the tests cross-check against it rather than trust.
 """
@@ -16,19 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupring import as_sign_array
+from .groupring import _all_signs, as_sign_array
 
-
-def _float_gram(arr: np.ndarray) -> np.ndarray:
-    f = arr.astype(np.float32)
-    # Exact in any summation order: every partial sum is an integer of
-    # magnitude <= n <= 2^24.
-    return f @ f.T
+# Rows of the gram product that `is_hadamard` computes at once.
+GRAM_BLOCK_ROWS = 128
 
 
 def gram(m) -> np.ndarray:
     """M * M^T over exact integers."""
-    return _float_gram(as_sign_array(m)).astype(np.int64)
+    f = as_sign_array(m).astype(np.float32)
+    # Exact in any summation order: every partial sum is an integer of
+    # magnitude <= n <= 2^24.
+    return (f @ f.T).astype(np.int64)
 
 
 @dataclass
@@ -46,18 +49,26 @@ def is_hadamard(m) -> GramReport:
     """Full gram report; the flag is true iff M M^T equals size * identity."""
     arr = as_sign_array(m)
     n = arr.shape[0]
-    g = _float_gram(arr)
-    diag = set(int(x) for x in np.unique(np.diagonal(g)))
-    np.fill_diagonal(g, 0)
-    max_off = int(max(g.max(), -g.min())) if g.size else 0
+    f = arr.astype(np.float32)
+    diag: set[int] = set()
+    max_off = 0
+    for start in range(0, n, GRAM_BLOCK_ROWS):
+        # Rows start.. of the product, from column start on: M M^T is
+        # symmetric, so these blocks hold every entry up to transposition.
+        # Exact in any summation order: every partial sum is an integer of
+        # magnitude <= n <= 2^24.
+        g = f[start : start + GRAM_BLOCK_ROWS] @ f[start:].T
+        diag.update(int(x) for x in np.unique(np.diagonal(g)))
+        np.fill_diagonal(g, 0)
+        max_off = max(max_off, int(g.max()), int(-g.min()))
     return GramReport(
         size=n,
         is_hadamard=(diag == {n} and max_off == 0),
         diagonal_values=diag,
         max_off_diagonal=max_off,
-        row_sums=[int(x) for x in arr.sum(axis=1)],
-        col_sums=[int(x) for x in arr.sum(axis=0)],
-        negatives_per_row=[int(x) for x in (arr == -1).sum(axis=1)],
+        row_sums=arr.sum(axis=1, dtype=np.int64).tolist(),
+        col_sums=arr.sum(axis=0, dtype=np.int64).tolist(),
+        negatives_per_row=(arr == -1).sum(axis=1, dtype=np.int64).tolist(),
     )
 
 
@@ -67,9 +78,9 @@ def paf(row) -> np.ndarray:
     paf[0] = m, and the circulant built on the row is Hadamard iff every other
     entry is zero.
     """
-    row = np.asarray(row, dtype=np.int64)
-    if not np.all(np.abs(row) == 1):
+    if not _all_signs(row):
         raise ValueError("row entries must all be +1 or -1")
+    row = np.asarray(row, dtype=np.int64)
     m = row.size
     return np.array([int(np.dot(row, np.roll(row, -s))) for s in range(m)], dtype=np.int64)
 
@@ -102,5 +113,5 @@ def admissible_negative_counts(m: int) -> set[int]:
 def is_regular(m) -> bool:
     """True iff all row sums and all column sums share one common value."""
     arr = as_sign_array(m)
-    sums = np.concatenate([arr.sum(axis=1), arr.sum(axis=0)])
+    sums = np.concatenate([arr.sum(axis=1, dtype=np.int64), arr.sum(axis=0, dtype=np.int64)])
     return bool(np.all(sums == sums[0]))

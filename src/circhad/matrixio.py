@@ -24,8 +24,9 @@ _PLUS, _MINUS = np.uint8(ord("+")), np.uint8(ord("-"))
 
 
 def signs_from_text(text: str) -> np.ndarray:
-    """+1 for each '+' and -1 for every other character of an ASCII string."""
-    return np.where(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _PLUS, 1, -1)
+    """int8 +1 for each '+' and -1 for every other character of an ASCII string."""
+    plus = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _PLUS
+    return np.where(plus, np.int8(1), np.int8(-1))
 
 
 @dataclass

@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CapacityError, FormatError
+from ..groupring import _all_signs
 from ..hadamard import admissible_negative_counts
 from . import _npkernel, _pykernel
 
@@ -108,9 +109,9 @@ def mask_to_signs(mask: int, m: int) -> np.ndarray:
 
 
 def signs_to_mask(row) -> tuple[int, int]:
-    row = np.asarray(row, dtype=np.int64)
-    if not np.all(np.abs(row) == 1):
+    if not _all_signs(row):
         raise ValueError("row entries must all be +1 or -1")
+    row = np.asarray(row, dtype=np.int64)
     m = int(row.size)
     mask = 0
     for value in row:

@@ -164,29 +164,33 @@ def _bound_violated(partial, k, m, nshift) -> bool:
 
 
 def masks_to_rows(masks: np.ndarray, m: int) -> np.ndarray:
-    """Float32 sign matrix (len(masks) x m) from row bitmasks."""
+    """int8 sign matrix (len(masks) x m) from row bitmasks."""
     shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
-    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float32)
+    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.int8)
     return 1 - 2 * bits
+
+
+# Largest order whose gram entries and partial sums all fit in int8.
+GRAM_INT8_ORDER_LIMIT = 127
 
 
 def gram_hadamard_batch(masks: np.ndarray, m: int, chunk: int = 4096) -> np.ndarray:
     """Ground-truth gram verdict for each mask: circulant M satisfies MM^T = mI.
 
     Builds the actual circulant and multiplies it out; deliberately never uses
-    the autocorrelation shortcut it is meant to check. The products run in
-    float32 BLAS and are exact, because every entry and partial sum is an
-    integer of magnitude at most m <= 64, and float32 holds every integer up
-    to 2^24 exactly.
+    the autocorrelation shortcut it is meant to check. The circulants are int8
+    and `np.einsum` multiplies and accumulates them in int8, which is exact:
+    every entry and partial sum is an integer of magnitude at most m <= 64,
+    below int8's 127. Orders above 127 are refused rather than wrapped.
     """
+    if m > GRAM_INT8_ORDER_LIMIT:
+        raise ValueError(f"int8 gram products need order <= {GRAM_INT8_ORDER_LIMIT}, got {m}")
     verdicts = np.empty(len(masks), dtype=bool)
     circ_idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    target = m * np.eye(m, dtype=np.float32)
+    target = m * np.eye(m, dtype=np.int8)
     for start in range(0, len(masks), chunk):
         rows = masks_to_rows(masks[start : start + chunk], m)
         circs = rows[:, circ_idx]
-        # Exact in any summation order: every partial sum is an integer of
-        # magnitude <= m <= 2^24.
-        grams = circs @ circs.transpose(0, 2, 1)
+        grams = np.einsum("bij,bkj->bik", circs, circs)
         verdicts[start : start + len(rows)] = np.all(grams == target, axis=(1, 2))
     return verdicts

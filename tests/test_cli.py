@@ -288,3 +288,29 @@ def test_subcommands_are_deterministic(eq1_file, capsys):
     scrub = [re.sub(r'"(analytic|enumeration|finalize)": [0-9.e-]+', r'"\1": 0', o)
              for o in outputs]
     assert scrub[0] == scrub[1]
+
+
+BLOCKED_TEXT = "+++-\n++-+\n-+++\n+-++\n"  # eq1 under the paired listing of C4
+
+
+@pytest.mark.parametrize("group, listing, code, found", [
+    ("C4", "paired", 0, "paired"),
+    ("C4", "auto", 0, "paired"),
+    ("C1xC4", "paired", 0, "paired"),  # the same table as C4, under another name
+    ("C4", "natural", 1, None),
+])
+def test_verify_paired_listing_only_over_a_cyclic_table(tmp_path, capsys, group, listing, code,
+                                                        found):
+    path = tmp_path / "blocked.txt"
+    path.write_text(BLOCKED_TEXT)
+    assert main(["verify", str(path), "--group", group, "--listing", listing,
+                 "--format", "json"]) == code
+    rg = json.loads(capsys.readouterr().out)["rg"]
+    assert rg["rg_matrix"] == (found is not None) and rg["listing"] == found
+
+
+def test_verify_paired_listing_refused_over_a_non_cyclic_group(tmp_path, capsys):
+    path = tmp_path / "blocked.txt"
+    path.write_text(BLOCKED_TEXT)
+    assert main(["verify", str(path), "--group", "C2xC2", "--listing", "paired"]) == 2
+    assert "paired listing needs a cyclic group" in capsys.readouterr().err

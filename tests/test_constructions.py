@@ -100,7 +100,8 @@ def test_kronecker_gram_identity_up_to_256():
     c4 = circulant_c4()
     ext = kronecker_extend(kronecker_extend(base, c4), c4)
     assert ext.size == 256
-    g = ext.matrix.entries @ ext.matrix.entries.T
+    entries = ext.matrix.entries.astype(np.int64)  # int8 products would wrap at 256
+    g = entries @ entries.T
     assert np.array_equal(g, 256 * np.eye(256, dtype=np.int64))
     assert is_rg_matrix(ext.matrix, ext.group, ext.listing)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from circhad import (
     is_hadamard,
     is_rg_matrix,
     natural_listing,
+    paf,
     paired_listing,
     quaternion_group,
     recover_listing,
@@ -21,7 +24,9 @@ from circhad import (
     rg_matrix,
     rg_sign_matrix,
 )
-from circhad.constructions import c2c8_matrix, quaternion_c2_matrix
+from circhad.blocks import block_system
+from circhad.constructions import FAMILIES, c2c8_matrix, kronecker_extend, quaternion_c2_matrix
+from circhad.searchengine import signs_to_mask
 
 EQ1 = np.array([[1, 1, 1, -1], [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
 BLOCKED = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, -1, 1, 1]])
@@ -322,3 +327,71 @@ def test_sign_matrix_validation():
         SignMatrix([[1, 2], [1, 1]])
     with pytest.raises(ValueError):
         SignMatrix([[1, 1, 1], [1, 1, -1]])
+
+
+def _entry_points():
+    # (call taking one +-1 value list, message) for every entry point that
+    # accepts +-1 data; each is given a 4-entry row or a 2 x 2 matrix.
+    def square(v):
+        return [v[:2], v[2:]]
+
+    return {
+        "SignMatrix": (lambda v: SignMatrix(square(v)), "matrix entries must all be +1 or -1"),
+        "as_sign_array": (lambda v: groupring.as_sign_array(square(v)), "matrix entries must all be +1 or -1"),
+        "paf": (paf, "row entries must all be +1 or -1"),
+        "circulant_from_row": (circulant_from_row, "first row entries must all be +1 or -1"),
+        "from_signs": (lambda v: GroupRingElement.from_signs(cyclic_group(4), v),
+                       "coefficients must all be +1 or -1"),
+        "signs_to_mask": (signs_to_mask, "row entries must all be +1 or -1"),
+        "block_system": (block_system, "row entries must all be +1 or -1"),
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, 257, -1.9, 255, -257])
+@pytest.mark.parametrize("name", sorted(_entry_points()))
+def test_sign_entry_points_validate_before_casting(name, bad):
+    # 1.5 and -1.9 would truncate to +-1 and 255 and 257 wrap to +-1 in int8,
+    # so each must be refused as given.
+    call, message = _entry_points()[name]
+    call([1, -1, 1, -1])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call([1, -1, 1, bad])
+
+
+def test_sign_matrix_entries_are_int8():
+    m = SignMatrix([[1.0, 1.0], [1.0, -1.0]])
+    assert m.entries.dtype == np.int8
+    assert m.entries.tolist() == [[1, 1], [1, -1]]
+    assert not is_hadamard([[1, 1], [1, 1]]).is_hadamard
+    with pytest.raises(ValueError, match="must all be"):
+        is_hadamard([[1.5, 1], [1, -1.9]])
+
+
+def c4_power_construction(times):
+    construction = FAMILIES["c4"]()
+    for _ in range(times):
+        construction = kronecker_extend(construction, FAMILIES["c4"]())
+    return construction
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 256])
+def test_is_rg_matrix_checks_every_row_block(monkeypatch, block):
+    monkeypatch.setattr(groupring, "RG_BLOCK_ROWS", block)
+    ext = c4_power_construction(3)  # 256 x 256 over C4^4
+    n = ext.size
+    assert is_rg_matrix(ext.matrix, ext.group, ext.listing)
+    # one flipped entry in the last row, the first row of a later block, or row 1
+    for r, c in ((n - 1, 0), (n - 1, n - 1), (64, 3), (1, n - 2)):
+        entries = ext.matrix.entries.copy()
+        entries[r, c] = -entries[r, c]
+        assert not is_rg_matrix(SignMatrix(entries), ext.group, ext.listing), (r, c)
+
+
+def test_is_rg_matrix_rejects_a_break_in_the_last_row_block_only():
+    ext = c4_power_construction(4)  # 1024 x 1024 over C4^5
+    n = ext.size
+    assert n % groupring.RG_BLOCK_ROWS == 0
+    assert is_rg_matrix(ext.matrix, ext.group, ext.listing)
+    entries = ext.matrix.entries.copy()
+    entries[n - 1, n // 2] = -entries[n - 1, n // 2]
+    assert not is_rg_matrix(SignMatrix(entries), ext.group, ext.listing)

@@ -11,6 +11,7 @@ from circhad import (
     paired_listing,
     quaternion_group,
 )
+from circhad.groups import is_cyclic_table
 
 
 def test_trivial_group():
@@ -169,3 +170,34 @@ def test_group_by_name():
 def test_natural_listing_is_identity():
     g = cyclic_group(6)
     assert natural_listing(g).perm == tuple(range(6))
+
+
+def test_direct_product_table_is_int32_and_lexicographic():
+    g = direct_product(cyclic_group(4), quaternion_group())
+    assert g.mul_table.dtype == g.inv_table.dtype == np.int32
+    q = quaternion_group()
+    for a in range(32):
+        for b in range(32):
+            assert g.mul(a, b) == ((a // 8 + b // 8) % 4) * 8 + q.mul(a % 8, b % 8)
+    g.validate(check_associativity=True)
+
+
+@pytest.mark.parametrize("name, cyclic", [
+    ("C1", True), ("C4", True), ("C16", True), ("C1xC16", True), ("C16xC1", True),
+    ("C2xC8", False), ("C4xC4", False), ("Q8xC2", False), ("C2xC2", False), ("Q8", False),
+])
+def test_is_cyclic_table(name, cyclic):
+    group = group_by_name(name)
+    assert is_cyclic_table(group) == cyclic
+    assert is_cyclic_table(group) == (group == cyclic_group(group.order))
+
+
+def test_paired_listing_over_a_given_table():
+    c16 = group_by_name("C1xC16")
+    listing = paired_listing(16, c16)
+    assert listing.group is c16
+    assert listing.perm == paired_listing(16).perm
+    with pytest.raises(ValueError, match="paired listing needs the table of C16"):
+        paired_listing(16, group_by_name("C2xC8"))
+    with pytest.raises(ValueError):
+        paired_listing(16, cyclic_group(8))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import circhad.hadamard as hadamard
 from circhad import (
     SignMatrix,
     admissible_negative_counts,
@@ -197,7 +198,7 @@ def test_gram_batch_agrees_with_float64_product(m):
     rng = np.random.default_rng(m)
     masks = rng.integers(0, 1 << m, 512, dtype=np.uint64)
     rows = _pykernel.masks_to_rows(masks, m)
-    assert rows.dtype == np.float32
+    assert rows.dtype == np.int8
     assert rows.tolist() == [mask_to_signs(int(mask), m).tolist() for mask in masks]
     assert _pykernel.gram_hadamard_batch(masks, m).tolist() == float64_gram_batch(masks, m).tolist()
 
@@ -247,3 +248,62 @@ def test_quaternion_display_is_regular():
 
 def test_sign_matrix_input_accepted():
     assert is_hadamard(SignMatrix(EQ1)).is_hadamard
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_report_sums_are_exact_on_constant_rows(n, sign):
+    # int8 sums would wrap: n ones sum to 0 in int8 at n = 1024 and 2048
+    arr = np.full((n, n), sign, dtype=np.int8)
+    report = is_hadamard(arr)
+    assert report.row_sums == [sign * n] * n
+    assert report.col_sums == [sign * n] * n
+    assert report.negatives_per_row == [n if sign < 0 else 0] * n
+    assert report.diagonal_values == {n}
+    assert report.max_off_diagonal == n
+    assert is_regular(arr)
+    g = gram(arr)
+    assert g.dtype == np.int64
+    assert int(g.min()) == int(g.max()) == n
+
+
+def duplicate_row_cases(n):
+    # A Hadamard matrix with row j replaced by +-row i: the gram's only
+    # off-diagonal defect is the pair (i, j), so each case puts it in one place.
+    base = c4_power({16: 1, 64: 2, 256: 3}[n])
+    for i, j, sign in ((n - 2, n - 1, 1), (0, 1, -1), (0, n - 1, 1), (n // 2, n // 2 + 1, 1),
+                       (3, n - 3, -1)):
+        arr = base.copy()
+        arr[j] = sign * arr[i]
+        yield (i, j), arr
+    yield None, base
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, 16, 64, 300])
+def test_blocked_is_hadamard_equals_the_full_product(monkeypatch, block):
+    monkeypatch.setattr(hadamard, "GRAM_BLOCK_ROWS", block)
+    for n in (16, 64):
+        for where, arr in duplicate_row_cases(n):
+            ref = int_gram_report(arr)
+            report = is_hadamard(arr)
+            assert report.is_hadamard == (where is None), where
+            for name in ("diagonal_values", "max_off_diagonal", "row_sums", "col_sums",
+                         "negatives_per_row"):
+                assert getattr(report, name) == ref[name], (where, name)
+
+
+def test_blocked_is_hadamard_finds_a_defect_in_the_last_block_only():
+    n = 256
+    assert n > hadamard.GRAM_BLOCK_ROWS
+    for where, arr in duplicate_row_cases(n):
+        ref = int_gram_report(arr)
+        report = is_hadamard(arr)
+        assert report.max_off_diagonal == ref["max_off_diagonal"] == (0 if where is None else n)
+        assert report.is_hadamard == (where is None)
+
+
+def test_gram_batch_refuses_orders_beyond_int8():
+    masks = np.zeros(1, dtype=np.uint64)
+    assert _pykernel.gram_hadamard_batch(masks, 64).tolist() == [False]
+    with pytest.raises(ValueError, match="order <= 127"):
+        _pykernel.gram_hadamard_batch(masks, 128)

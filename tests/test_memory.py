@@ -1,0 +1,53 @@
+"""Peak traced allocations of the CLI's largest in-process commands.
+
+tracemalloc sees numpy's data buffers as well as Python objects, so these
+bounds do not depend on the allocator or on what the process held before.
+Each bound sits between the peak with int8 storage, a blocked gram and a
+blocked RG check, and the peak with int64 storage and whole-matrix products:
+verify 1024 about 8 MB against 31 MB, construct 1024 about 8 MB against 15 MB,
+and the order-16 crosscheck search about 4 MB against 10 MB.
+"""
+
+import tracemalloc
+
+import pytest
+
+from circhad.cli import main
+
+MB = 1 << 20
+CONSTRUCT_1024 = ["construct", "--family", "c4", "--extend", "c4", "--times", "4"]
+CROSSCHECK_16 = ["search", "--order", "16", "--no-filter", "row_sum", "--no-filter", "balance",
+                 "--no-filter", "paf_prefix", "--crosscheck", "1.0", "--format", "json"]
+
+
+def traced_peak(argv, expected_exit=0):
+    tracemalloc.start()
+    try:
+        assert main(argv) == expected_exit
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def m1024_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("m1024") / "m1024.txt"
+    assert main(CONSTRUCT_1024 + ["--out", str(path)]) == 0
+    return str(path)
+
+
+def test_verify_1024_peak(m1024_file, capsys):
+    peak = traced_peak(["verify", m1024_file, "--format", "json"])
+    assert '"hadamard": true' in capsys.readouterr().out
+    assert peak < 12 * MB, f"verify peaked at {peak / MB:.1f} MB"
+
+
+def test_construct_1024_peak(tmp_path):
+    peak = traced_peak(CONSTRUCT_1024 + ["--out", str(tmp_path / "out.txt")])
+    assert peak < 12 * MB, f"construct peaked at {peak / MB:.1f} MB"
+
+
+def test_crosscheck_search_peak(capsys):
+    peak = traced_peak(CROSSCHECK_16)
+    assert '"mismatches": 0' in capsys.readouterr().out
+    assert peak < 6 * MB, f"crosscheck search peaked at {peak / MB:.1f} MB"
