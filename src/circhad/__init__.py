@@ -40,7 +40,6 @@ from .groups import (
 )
 from .groupring import (
     GroupRingElement,
-    Provenance,
     SignMatrix,
     circulant_from_row,
     circulant_sign_matrix,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupring import Provenance, SignMatrix, _all_signs
+from .groupring import SignMatrix
+from .signs import all_signs
 
 Pair = tuple[int, int]
 
@@ -79,7 +80,7 @@ def block_system(row, layout: str = "natural") -> BlockSystem:
     row = np.asarray(row)
     if row.ndim != 1 or row.size % 4 != 0 or row.size == 0:
         raise ValueError(f"row length must be a positive multiple of 4, got {row.size}")
-    if not _all_signs(row):
+    if not all_signs(row):
         raise ValueError("row entries must all be +1 or -1")
     row = row.astype(np.int64)
     if layout not in ("natural", "paired"):
@@ -124,7 +125,7 @@ def assemble_block_matrix(system: BlockSystem) -> SignMatrix:
             if c < r:
                 block = twist(block)
             out[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = block.entries
-    return SignMatrix(out, Provenance(source="assemble_block_matrix"))
+    return SignMatrix(out)
 
 
 @dataclass(frozen=True)

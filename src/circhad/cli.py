@@ -28,9 +28,9 @@ from .matrixio import (
     parse_matrix_document,
     report_payload,
     report_text,
-    signs_from_text,
 )
 from .searchengine import SearchConfig, search
+from .signs import from_text
 
 
 def _parse_row(text: str) -> np.ndarray:
@@ -38,7 +38,7 @@ def _parse_row(text: str) -> np.ndarray:
     bad = set(compact) - {"+", "-"}
     if bad:
         raise FormatError(f"row may only contain '+' and '-', got {sorted(bad)}")
-    return signs_from_text(compact)
+    return from_text(compact)
 
 
 def _print(text: str) -> None:

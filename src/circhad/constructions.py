@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Group, Listing, cyclic_group, direct_product, natural_listing, quaternion_group
-from .groupring import Provenance, SignMatrix
+from .groupring import SignMatrix, circulant_sign_matrix
+from .signs import from_text
 
 # fmt: off
 _C2C8_TEXT = """\
@@ -64,8 +65,8 @@ def _parse_display(text: str, expected_sha: str) -> np.ndarray:
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     if digest != expected_sha:
         raise RuntimeError(f"embedded matrix data corrupted (sha256 {digest})")
-    rows = [[1 if ch == "+" else -1 for ch in line] for line in canonical.splitlines()]
-    return np.array(rows, dtype=np.int8)
+    lines = canonical.splitlines()
+    return from_text("".join(lines)).reshape(len(lines), -1)
 
 
 @dataclass
@@ -82,13 +83,11 @@ class NamedConstruction:
 
 def circulant_c4() -> NamedConstruction:
     """The 4x4 circulant Hadamard matrix with first row (+,+,+,-) over C4."""
-    row = np.array([1, 1, 1, -1], dtype=np.int8)
-    idx = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
     group = cyclic_group(4)
     return NamedConstruction(
         name="c4",
         group=group,
-        matrix=SignMatrix(row[idx], Provenance(group="C4", listing=(0, 1, 2, 3))),
+        matrix=circulant_sign_matrix([1, 1, 1, -1]),
         listing=natural_listing(group),
     )
 
@@ -102,7 +101,7 @@ def c2c2_matrix() -> NamedConstruction:
     return NamedConstruction(
         name="c2c2",
         group=group,
-        matrix=SignMatrix(entries, Provenance(group=group.name, listing=(0, 1, 2, 3))),
+        matrix=SignMatrix(entries),
         listing=natural_listing(group),
     )
 
@@ -114,7 +113,7 @@ def c2c8_matrix() -> NamedConstruction:
     return NamedConstruction(
         name="c2c8",
         group=group,
-        matrix=SignMatrix(entries, Provenance(group=group.name)),
+        matrix=SignMatrix(entries),
         listing=None,
     )
 
@@ -126,7 +125,7 @@ def quaternion_c2_matrix() -> NamedConstruction:
     return NamedConstruction(
         name="q8c2",
         group=group,
-        matrix=SignMatrix(entries, Provenance(group=group.name)),
+        matrix=SignMatrix(entries),
         listing=None,
     )
 
@@ -188,9 +187,6 @@ def kronecker_extend(a: NamedConstruction, b: NamedConstruction) -> NamedConstru
     return NamedConstruction(
         name=f"{a.name}(x){b.name}",
         group=group,
-        matrix=SignMatrix(
-            np.kron(a.matrix.entries, b.matrix.entries),
-            Provenance(group=group.name, listing=tuple(perm), source="kronecker"),
-        ),
+        matrix=SignMatrix(np.kron(a.matrix.entries, b.matrix.entries)),
         listing=Listing(group, perm),
     )

@@ -7,12 +7,11 @@ the natural listing the image is exactly the circulant with first row = coeffs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError
 from .groups import Group, Listing, cyclic_group, natural_listing
+from .signs import all_signs
 
 # Search nodes (candidate placements of an element at a position) that
 # `recover_listing` may explore before it gives up. The 16x16 constructions
@@ -29,7 +28,7 @@ class GroupRingElement:
     """Integer-coefficient formal sum over a group's elements."""
 
     def __init__(self, group: Group, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.int64)
+        coeffs = _integers(coeffs, "coefficients")
         if coeffs.shape != (group.order,):
             raise ValueError(
                 f"coefficient vector has length {coeffs.shape}, group order is {group.order}"
@@ -41,10 +40,9 @@ class GroupRingElement:
     @classmethod
     def from_signs(cls, group: Group, signs) -> "GroupRingElement":
         """Constructor restricted to +-1 coefficients (Hadamard candidates)."""
-        elem = cls(group, signs)
-        if not _all_signs(signs):
+        if not all_signs(signs):
             raise ValueError("coefficients must all be +1 or -1")
-        return elem
+        return cls(group, signs)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         if not isinstance(other, GroupRingElement):
@@ -67,46 +65,44 @@ class GroupRingElement:
         return f"GroupRingElement({self.group.name}, {self.coeffs.tolist()})"
 
 
-@dataclass(frozen=True)
-class Provenance:
-    group: str | None = None
-    listing: tuple[int, ...] | None = None
-    source: str | None = None
+def _integers(values, what: str) -> np.ndarray:
+    """values as int64, checked as given, before the cast.
 
-
-def _all_signs(values) -> bool:
-    """True iff every value is +1 or -1 as given, before any integer cast.
-
-    Checking before the cast keeps 1.5 (truncated to 1) and 257 (wrapped to 1
-    by int8) out. Boolean masks only, so no n x n integer temporary is made.
+    The cast would truncate 1.5 and wrap 2**63 or 2.0**63 to a negative
+    number, so any value it would change is refused.
     """
     a = np.asarray(values)
-    ok = a == 1
-    ok |= a == -1
-    return bool(np.all(ok))
+    if a.dtype.kind == "f":
+        exact = (np.trunc(a) == a) & (a >= -(2.0**63)) & (a < 2.0**63)
+    elif a.dtype.kind == "u":
+        exact = a <= np.iinfo(np.int64).max
+    else:
+        exact = True
+    if not np.all(exact):
+        raise ValueError(f"{what} must all be integers")
+    return a.astype(np.int64, copy=False)
 
 
 def _square_signs(values) -> np.ndarray:
     a = np.asarray(values)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not _all_signs(a):
+    if not all_signs(a):
         raise ValueError("matrix entries must all be +1 or -1")
     return a.astype(np.int8, copy=False)
 
 
 class SignMatrix:
-    """Dense square matrix with entries +1/-1 and optional provenance.
+    """Dense square matrix with entries +1/-1.
 
     `entries` is int8, so products of it wrap: upcast before multiplying
     (`entries.astype(np.int64)`), or use :func:`circhad.hadamard.gram`.
     """
 
-    def __init__(self, entries, provenance: Provenance | None = None):
+    def __init__(self, entries):
         entries = _square_signs(entries)
         self.entries = entries
         self.size = int(entries.shape[0])
-        self.provenance = provenance
         entries.setflags(write=False)
 
     def __eq__(self, other) -> bool:
@@ -149,10 +145,7 @@ def rg_matrix(w: GroupRingElement, listing: Listing) -> np.ndarray:
 
 
 def rg_sign_matrix(w: GroupRingElement, listing: Listing) -> SignMatrix:
-    return SignMatrix(
-        rg_matrix(w, listing),
-        Provenance(group=w.group.name, listing=listing.perm, source="group-ring element"),
-    )
+    return SignMatrix(rg_matrix(w, listing))
 
 
 def circulant_from_row(row) -> GroupRingElement:
@@ -160,9 +153,9 @@ def circulant_from_row(row) -> GroupRingElement:
     row = np.asarray(row)
     if row.ndim != 1 or row.size < 1:
         raise ValueError("first row must be a nonempty vector")
-    if not _all_signs(row):
+    if not all_signs(row):
         raise ValueError("first row entries must all be +1 or -1")
-    return GroupRingElement.from_signs(cyclic_group(row.size), row)
+    return GroupRingElement(cyclic_group(row.size), row)
 
 
 def circulant_sign_matrix(row) -> SignMatrix:
@@ -181,10 +174,7 @@ def relist(m: SignMatrix, from_listing: Listing, to_listing: Listing) -> SignMat
     if len(from_listing.perm) != m.size:
         raise ValueError(f"matrix size {m.size} does not match listing length {len(from_listing.perm)}")
     sigma = np.array([from_listing.position_of(e) for e in to_listing.perm])
-    return SignMatrix(
-        m.entries[np.ix_(sigma, sigma)],
-        Provenance(group=to_listing.group.name, listing=to_listing.perm, source="relist"),
-    )
+    return SignMatrix(m.entries[np.ix_(sigma, sigma)])
 
 
 def is_rg_matrix(m, group: Group, listing: Listing) -> bool:
@@ -194,7 +184,7 @@ def is_rg_matrix(m, group: Group, listing: Listing) -> bool:
     read off the first row and then verified RG_BLOCK_ROWS rows at a time, so
     no n x n index or coefficient copy is made.
     """
-    arr = m.entries if isinstance(m, SignMatrix) else np.asarray(m, dtype=np.int64)
+    arr = m.entries if isinstance(m, SignMatrix) else _integers(m, "matrix entries")
     n = group.order
     if arr.shape != (n, n):
         raise ValueError(f"matrix shape {arr.shape} does not match group order {n}")
@@ -218,7 +208,7 @@ def recover_listing(m, group: Group) -> Listing | None:
     placement of an element at a position is one search node; raises
     CapacityError once RECOVERY_NODE_BUDGET nodes have been explored.
     """
-    arr = m.entries if isinstance(m, SignMatrix) else np.asarray(m, dtype=np.int64)
+    arr = m.entries if isinstance(m, SignMatrix) else _integers(m, "matrix entries")
     n = group.order
     if arr.shape != (n, n):
         raise ValueError(f"matrix shape {arr.shape} does not match group order {n}")

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupring import _all_signs, as_sign_array
+from .groupring import as_sign_array
+from .signs import all_signs
 
 # Rows of the gram product that `is_hadamard` computes at once.
 GRAM_BLOCK_ROWS = 128
@@ -78,7 +79,7 @@ def paf(row) -> np.ndarray:
     paf[0] = m, and the circulant built on the row is Hadamard iff every other
     entry is zero.
     """
-    if not _all_signs(row):
+    if not all_signs(row):
         raise ValueError("row entries must all be +1 or -1")
     row = np.asarray(row, dtype=np.int64)
     m = row.size

@@ -11,22 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .blocks import ConditionsReport, MatchReport, QuadrupleRemainders
 from .errors import FormatError
-from .groupring import Provenance, SignMatrix
+from .groupring import SignMatrix
 from .hadamard import GramReport
 from .searchengine import SearchResult
+from .signs import from_text, to_text
 
 _HEADER_KEYS = ("order", "group", "listing")
-_PLUS, _MINUS = np.uint8(ord("+")), np.uint8(ord("-"))
-
-
-def signs_from_text(text: str) -> np.ndarray:
-    """int8 +1 for each '+' and -1 for every other character of an ASCII string."""
-    plus = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _PLUS
-    return np.where(plus, np.int8(1), np.int8(-1))
 
 
 @dataclass
@@ -37,20 +29,11 @@ class MatrixDocument:
     listing: tuple[int, ...] | None = None
 
     def to_sign_matrix(self) -> SignMatrix:
-        entries = signs_from_text("".join(self.rows)).reshape(len(self.rows), -1)
-        return SignMatrix(entries, Provenance(group=self.group, listing=self.listing))
+        return SignMatrix(from_text("".join(self.rows)).reshape(len(self.rows), -1))
 
     @classmethod
     def from_sign_matrix(cls, m: SignMatrix) -> "MatrixDocument":
-        chars = np.where(m.entries == 1, _PLUS, _MINUS)
-        rows = [row.tobytes().decode("ascii") for row in chars]
-        prov = m.provenance
-        return cls(
-            order=m.size,
-            rows=rows,
-            group=prov.group if prov else None,
-            listing=tuple(prov.listing) if prov and prov.listing else None,
-        )
+        return cls(order=m.size, rows=to_text(m.entries))
 
 
 def parse_matrix_document(text: str) -> MatrixDocument:
@@ -264,28 +247,27 @@ _DISPATCH = {
 }
 
 
+def _emitters(report):
+    try:
+        return _DISPATCH[type(report)]
+    except KeyError:
+        raise TypeError(f"cannot emit report of type {type(report).__name__}") from None
+
+
 def report_payload(report) -> dict:
     """JSON-ready dict for a report object."""
-    for cls, (payload_fn, _) in _DISPATCH.items():
-        if isinstance(report, cls):
-            return payload_fn(report)
-    raise TypeError(f"cannot emit report of type {type(report).__name__}")
+    return _emitters(report)[0](report)
 
 
 def report_text(report) -> list[str]:
     """Human-readable lines for a report object."""
-    for cls, (_, text_fn) in _DISPATCH.items():
-        if isinstance(report, cls):
-            return text_fn(report)
-    raise TypeError(f"cannot emit report of type {type(report).__name__}")
+    return _emitters(report)[1](report)
 
 
 def emit_report(report, fmt: str = "text") -> str:
     """Serialize any report type deterministically; JSON keys are sorted."""
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if isinstance(report, MatrixDocument):
-        return emit_matrix_document(report, fmt)
     if fmt == "json":
         return json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
     return "\n".join(report_text(report)) + "\n"

@@ -39,16 +39,17 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CapacityError, FormatError
-from ..groupring import _all_signs
 from ..hadamard import admissible_negative_counts
+from ..signs import MASK_BITS, masks_to_rows, row_to_mask, to_text
 from . import _npkernel, _pykernel
 
 
 _kernel = _npkernel
 KERNEL_BACKEND: str = _kernel.BACKEND
 
-RAW_ENUMERATION_LIMIT = 28
-KERNEL_ORDER_LIMIT = 64  # masks are uint64
+# Rows left after the analytic stages above which a search needs allow_large.
+ENUMERATION_LIMIT = 1 << 28
+KERNEL_ORDER_LIMIT = MASK_BITS  # masks are uint64
 CHUNKS_PER_WORKER = 4  # jobs per worker process: enough to even out partitions of unequal cost
 
 
@@ -104,25 +105,6 @@ class SearchResult:
         }
 
 
-def mask_to_signs(mask: int, m: int) -> np.ndarray:
-    return np.array([-1 if (mask >> (m - 1 - i)) & 1 else 1 for i in range(m)], dtype=np.int64)
-
-
-def signs_to_mask(row) -> tuple[int, int]:
-    if not _all_signs(row):
-        raise ValueError("row entries must all be +1 or -1")
-    row = np.asarray(row, dtype=np.int64)
-    m = int(row.size)
-    mask = 0
-    for value in row:
-        mask = (mask << 1) | (1 if value == -1 else 0)
-    return mask, m
-
-
-def mask_to_string(mask: int, m: int) -> str:
-    return "".join("-" if (mask >> (m - 1 - i)) & 1 else "+" for i in range(m))
-
-
 def _canonical_mask(mask: int, m: int) -> int:
     full = (1 << m) - 1
     best = mask
@@ -140,20 +122,14 @@ def canonicalize(row) -> np.ndarray:
     Ordering treats +1 as smaller than -1, so the all-plus row is canonical in
     its orbit. Idempotent by construction.
     """
-    mask, m = signs_to_mask(row)
-    return mask_to_signs(_canonical_mask(mask, m), m)
+    m = len(row)
+    canon = _canonical_mask(row_to_mask(row), m)
+    return masks_to_rows(np.array([canon], dtype=np.uint64), m)[0].astype(np.int64)
 
 
 def _admissible_mask(order: int) -> tuple[set[int], int]:
     counts = admissible_negative_counts(order)
-    mask = 0
-    for r in counts:
-        mask |= 1 << r
-    return counts, mask
-
-
-def _row_sum_count(order: int, counts: set[int]) -> int:
-    return sum(math.comb(order, r) for r in counts)
+    return counts, sum(1 << r for r in counts)
 
 
 def _balance_count(order: int, counts: set[int] | None) -> int:
@@ -306,26 +282,22 @@ def search(config: SearchConfig) -> SearchResult:
     t0 = time.perf_counter()
 
     counts, adm_mask = _admissible_mask(m)
-    if m > RAW_ENUMERATION_LIMIT:
-        if not config.row_sum:
-            raise CapacityError(
-                f"raw enumeration is limited to order {RAW_ENUMERATION_LIMIT}; "
-                f"order {m} needs the row_sum filter enabled"
-            )
-        if counts and not config.allow_large:
-            raise CapacityError(
-                f"order {m} leaves {_row_sum_count(m, counts)} row-sum survivors; "
-                "pass allow_large to run anyway"
-            )
     total = 1 << m
 
     stage_counts: dict[str, int] = {}
-    stage_counts["row_sum"] = _row_sum_count(m, counts) if config.row_sum else total
+    stage_counts["row_sum"] = sum(math.comb(m, r) for r in counts) if config.row_sum else total
     if config.balance and m % 4 == 0:
         stage_counts["balance"] = _balance_count(m, counts if config.row_sum else None)
     else:
         stage_counts["balance"] = stage_counts["row_sum"]
 
+    if stage_counts["balance"] > ENUMERATION_LIMIT and not config.allow_large:
+        # a power of two, because str() refuses integers of more than 4300 digits
+        raise CapacityError(
+            f"order {m} leaves at least 2^{stage_counts['balance'].bit_length() - 1} rows after "
+            f"the analytic stages, more than 2^{ENUMERATION_LIMIT.bit_length() - 1}; "
+            "pass allow_large (--force) to run anyway"
+        )
     must_enumerate = stage_counts["balance"] > 0
     if must_enumerate and m > KERNEL_ORDER_LIMIT:
         raise CapacityError(f"enumeration kernels support orders up to {KERNEL_ORDER_LIMIT}")
@@ -407,10 +379,10 @@ def search(config: SearchConfig) -> SearchResult:
         )
 
     if config.canonicalization == "rotation+negation":
-        canon = sorted({_canonical_mask(mask, m) for mask in raw_masks})
-        found_strings = [mask_to_string(mask, m) for mask in canon]
+        reported = sorted({_canonical_mask(mask, m) for mask in raw_masks})
     else:
-        found_strings = [mask_to_string(mask, m) for mask in raw_masks]
+        reported = raw_masks
+    found_strings = to_text(masks_to_rows(np.array(reported, dtype=np.uint64), m))
 
     t_finalize = time.perf_counter() - t2
     return SearchResult(

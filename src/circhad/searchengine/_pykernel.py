@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..signs import masks_to_rows
+
 BACKEND = "python"
 
 _HASH_MULT = 0x9E3779B97F4A7C15
@@ -161,13 +163,6 @@ def _bound_violated(partial, k, m, nshift) -> bool:
         if p > remaining or -p > remaining:
             return True
     return False
-
-
-def masks_to_rows(masks: np.ndarray, m: int) -> np.ndarray:
-    """int8 sign matrix (len(masks) x m) from row bitmasks."""
-    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
-    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-    return 1 - 2 * bits
 
 
 # Largest order whose gram entries and partial sums all fit in int8.

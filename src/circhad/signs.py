@@ -1,0 +1,57 @@
+"""±1 rows in their three forms: int8 arrays, '+'/'-' text and uint64 bitmasks.
+
+A row of length m <= 64 is held by the mask whose bit (m-1-i) is set when
+row[i] is -1, so lexicographic order on rows ('+' before '-') is numeric order
+on masks. Every function that takes ±1 values checks them as given, before
+any integer cast.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+MASK_BITS = 64
+
+_PLUS, _MINUS = np.uint8(ord("+")), np.uint8(ord("-"))
+
+
+def all_signs(values) -> bool:
+    """True iff every value is +1 or -1 as given, before any integer cast.
+
+    Checking before the cast keeps 1.5 (truncated to 1) and 257 (wrapped to 1
+    by int8) out. Boolean masks only, so no n x n integer temporary is made.
+    """
+    a = np.asarray(values)
+    ok = a == 1
+    ok |= a == -1
+    return bool(np.all(ok))
+
+
+def from_text(text: str) -> np.ndarray:
+    """int8 +1 for each '+' and -1 for every other character of an ASCII string."""
+    plus = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _PLUS
+    return np.where(plus, np.int8(1), np.int8(-1))
+
+
+def to_text(rows: np.ndarray) -> list[str]:
+    """One '+'/'-' string per row of a 2-D ±1 array: '+' for +1, '-' for any other value."""
+    chars = np.where(rows == 1, _PLUS, _MINUS)
+    return [row.tobytes().decode("ascii") for row in chars]
+
+
+def masks_to_rows(masks: np.ndarray, m: int) -> np.ndarray:
+    """int8 sign matrix (len(masks) x m) from uint64 row bitmasks."""
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
+    bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+    return 1 - 2 * bits
+
+
+def row_to_mask(row) -> int:
+    """Bitmask of one ±1 row of at most MASK_BITS entries."""
+    if not all_signs(row):
+        raise ValueError("row entries must all be +1 or -1")
+    negative = np.asarray(row).ravel() == -1
+    if negative.size > MASK_BITS:
+        raise ValueError(f"a mask holds at most {MASK_BITS} entries, got {negative.size}")
+    # packbits fills whole bytes, most significant bit first: drop the padding
+    return int.from_bytes(np.packbits(negative).tobytes(), "big") >> (-negative.size % 8)

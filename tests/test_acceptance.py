@@ -37,7 +37,7 @@ from circhad import (
     with_recovered_listing,
 )
 from circhad.groups import Listing
-from circhad.searchengine import mask_to_signs
+from sign_reference import mask_to_signs
 
 EQ1 = np.array([[1, 1, 1, -1], [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
 BLOCKED = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, -1, 1, 1]])

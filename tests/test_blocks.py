@@ -16,7 +16,7 @@ from circhad import (
     twist,
 )
 from circhad.blocks import BlockSystem
-from circhad.searchengine import mask_to_signs
+from sign_reference import mask_to_signs
 
 ALL_BLOCKS = [Block2(1, 1), Block2(-1, -1), Block2(1, -1), Block2(-1, 1)]
 

@@ -262,6 +262,23 @@ def test_internal_fault_exit_four(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_capacity_rule_without_the_row_sum_filter(monkeypatch, capsys):
+    # 2^29 rows are left after the analytic stages: refused without --force; with
+    # it, the search reaches the kernel, whose fake bad row makes it exit 4
+    faulty = types.SimpleNamespace(BACKEND="faulty", scan_partitions=claims_a_bad_row)
+    monkeypatch.setattr(engine, "_kernel", faulty)
+    assert main(["search", "--order", "29", "--no-filter", "row_sum"]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: order 29 leaves at least 2^29 rows after the analytic stages, more than 2^28; "
+        "pass allow_large (--force) to run anyway\n"
+    )
+    assert main(["search", "--order", "29", "--no-filter", "row_sum", "--force"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError: a found row failed")
+    # 141^2 leaves a count of about 6,000 digits, which the message must not print
+    assert main(["search", "--order", "19881"]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: order 19881 leaves at least 2^19873 rows")
+
+
 def test_fault_inside_a_worker_process_exits_four(monkeypatch, capsys):
     monkeypatch.setattr(engine, "_kernel", types.SimpleNamespace(BACKEND="faulty", scan_partitions=raises))
     assert main(["search", "--order", "12", "--no-filter", "row_sum", "--workers", "2"]) == 4

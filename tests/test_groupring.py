@@ -26,7 +26,7 @@ from circhad import (
 )
 from circhad.blocks import block_system
 from circhad.constructions import FAMILIES, c2c8_matrix, kronecker_extend, quaternion_c2_matrix
-from circhad.searchengine import signs_to_mask
+from circhad.signs import row_to_mask as signs_to_mask
 
 EQ1 = np.array([[1, 1, 1, -1], [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
 BLOCKED = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, -1, 1, 1]])
@@ -395,3 +395,28 @@ def test_is_rg_matrix_rejects_a_break_in_the_last_row_block_only():
     entries = ext.matrix.entries.copy()
     entries[n - 1, n // 2] = -entries[n - 1, n // 2]
     assert not is_rg_matrix(SignMatrix(entries), ext.group, ext.listing)
+
+
+C2 = cyclic_group(2)
+
+
+@pytest.mark.parametrize("value", [1.5, -0.5, float("nan"), float("inf"), 2.0**63, 2**63])
+def test_integer_inputs_are_not_truncated(value):
+    # each of these would have been cast to int64 and silently changed
+    matrix = [[value, 1], [1, value]]
+    with pytest.raises(ValueError, match="matrix entries must all be integers"):
+        is_rg_matrix(matrix, C2, natural_listing(C2))
+    with pytest.raises(ValueError, match="matrix entries must all be integers"):
+        recover_listing(matrix, C2)
+    with pytest.raises(ValueError, match="coefficients must all be integers"):
+        GroupRingElement(C2, [value, 2])
+
+
+def test_whole_float_inputs_are_integers():
+    matrix = [[1.0, 2.0], [2.0, 1.0]]
+    assert is_rg_matrix(matrix, C2, natural_listing(C2))
+    assert recover_listing(matrix, C2) == natural_listing(C2)
+    assert not is_rg_matrix([[1.0, 2.0], [3.0, 1.0]], C2, natural_listing(C2))
+    elem = GroupRingElement(C2, [1.0, -2.0])
+    assert elem.coeffs.dtype == np.int64
+    assert elem.coeffs.tolist() == [1, -2]

@@ -17,7 +17,9 @@ from circhad import (
     quaternion_c2_matrix,
 )
 from circhad.constructions import FAMILIES, kronecker_extend, with_recovered_listing
-from circhad.searchengine import _pykernel, mask_to_signs
+from circhad.searchengine import _pykernel
+from circhad.signs import masks_to_rows
+from sign_reference import mask_to_signs
 
 EQ1 = np.array([[1, 1, 1, -1], [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
 
@@ -197,9 +199,9 @@ def float64_gram_batch(masks, m):
 def test_gram_batch_agrees_with_float64_product(m):
     rng = np.random.default_rng(m)
     masks = rng.integers(0, 1 << m, 512, dtype=np.uint64)
-    rows = _pykernel.masks_to_rows(masks, m)
+    rows = masks_to_rows(masks, m)
     assert rows.dtype == np.int8
-    assert rows.tolist() == [mask_to_signs(int(mask), m).tolist() for mask in masks]
+    assert rows.tolist() == [[1 - 2 * int(bit) for bit in format(int(mask), f"0{m}b")] for mask in masks]
     assert _pykernel.gram_hadamard_batch(masks, m).tolist() == float64_gram_batch(masks, m).tolist()
 
 

@@ -21,6 +21,7 @@ from circhad import (
 )
 from circhad.cli import main
 from circhad.constructions import FAMILIES, kronecker_extend, with_recovered_listing
+from sign_reference import rows_reference, signs_reference
 
 EQ1_TEXT = "+++-\n-+++\n+-++\n++-+\n"
 
@@ -90,15 +91,6 @@ def test_document_roundtrip_random(fmt):
         else:
             parsed = parse_matrix_document(emitted)
         assert np.array_equal(parsed.to_sign_matrix().entries, entries)
-
-
-def signs_reference(rows):
-    # the per-character conversions the vectorised ones replace
-    return np.array([[1 if ch == "+" else -1 for ch in row] for row in rows], dtype=np.int64)
-
-
-def rows_reference(entries):
-    return ["".join("+" if v == 1 else "-" for v in row) for row in entries]
 
 
 def test_text_conversions_match_per_character_reference():

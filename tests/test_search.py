@@ -8,7 +8,8 @@ import pytest
 import circhad.searchengine as engine
 from circhad import CapacityError, FormatError, SearchConfig, canonicalize, search
 from circhad.cli import main
-from circhad.searchengine import _npkernel, _pykernel, mask_to_signs, mask_to_string, signs_to_mask
+from circhad.searchengine import _npkernel, _pykernel
+from sign_reference import mask_to_signs, mask_to_string, signs_to_mask
 
 KERNELS = [_pykernel, _npkernel]
 
