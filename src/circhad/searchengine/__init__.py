@@ -20,9 +20,11 @@ every found row is re-verified with the gram oracle.
 The pending partitions go to the kernel's `scan_partitions` as one batched
 frontier of at most `_npkernel.FRONTIER_CAP` nodes per level, which yields
 each partition's result in prefix order as soon as it is final; so a
-checkpoint line is appended as each partition finishes. With more than one
-worker, contiguous chunks of the pending partitions are scanned in forked
-worker processes, and their results are recorded in partition order.
+checkpoint line is appended as each partition finishes. With N > 1 workers,
+up to N forked child processes, one per CPU at most, take the pending
+partitions in round-robin shares, each scanned as one batched frontier, and
+stream every partition's result back as soon as it is final; the parent
+records them in partition order.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import sys
 import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -50,7 +55,6 @@ KERNEL_BACKEND: str = _kernel.BACKEND
 # Rows left after the analytic stages above which a search needs allow_large.
 ENUMERATION_LIMIT = 1 << 28
 KERNEL_ORDER_LIMIT = MASK_BITS  # masks are uint64
-CHUNKS_PER_WORKER = 4  # jobs per worker process: enough to even out partitions of unequal cost
 
 
 @dataclass
@@ -270,15 +274,84 @@ def _scan(prefixes: list[int], scan: tuple):
         )
 
 
-def _scan_chunk(job: tuple[list[int], tuple]) -> list[tuple[int, _PartitionOutcome]]:
-    """One worker process's job: `_scan` over a contiguous chunk of the pending prefixes."""
-    return list(_scan(*job))
+def _send_share(share: list[int], scan: tuple, fd: int) -> None:
+    """A child's work: pickle each (prefix, outcome) into `fd` as soon as it is final,
+    or the exception that stopped the scan."""
+    with open(fd, "wb") as pipe:
+        try:
+            for item in _scan(share, scan):
+                pickle.dump(item, pipe)
+                pipe.flush()
+        except BaseException as exc:
+            pickle.dump(exc, pipe)
+            raise
+
+
+def _scan_forked(
+    todo: list[int], scan: tuple, workers: int, record: Callable[[int, _PartitionOutcome], None]
+) -> None:
+    """`record(prefix, outcome)` for each of the sorted prefixes, in order, scanned by forked children.
+
+    Child w of n scans todo[w::n] as one batched frontier and streams its results
+    through its own pipe; result i is read from child i % n. Children are forked,
+    because a spawned one imports numpy afresh, which costs more than an order-20
+    search. A child leaves only through os._exit, so it never returns into the
+    caller's stack. An exception a child sends back is raised here, and so is a
+    child's exit without a result.
+
+    No deadlock: the parent only blocks reading the child that holds the next
+    partition, so that child's writes always drain. Other children may wait on a
+    full pipe, but none waits on another child. Every pipe is closed and every
+    child killed and reaped on the way out, whether the scan ends, faults or is
+    interrupted.
+    """
+    import signal  # here, because its enums add about 1 ms to every start-up
+
+    n = min(workers, len(todo), len(os.sched_getaffinity(0)))
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for w in range(n):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(reader)
+                    for _, pipe in children:
+                        pipe.close()
+                    _send_share(todo[w::n], scan, writer)
+                finally:
+                    os._exit(0)
+            os.close(writer)
+            children.append((pid, open(reader, "rb")))
+        for i in range(len(todo)):
+            pid, pipe = children[i % n]
+            try:
+                item = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker process {pid} exited without a result") from None
+            if isinstance(item, BaseException):
+                raise item
+            record(*item)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def search(config: SearchConfig) -> SearchResult:
     """Run the staged enumeration described in the module docstring."""
     config.validate()
     m = config.order
+    # The report prints total_rows = 2^m, which has floor(m log10 2) + 1 digits;
+    # so refuse an order whose count str() would refuse, before any closed form.
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if max_digits and m * math.log10(2) >= max_digits:
+        raise CapacityError(
+            f"order {m} is too large: its row count 2^{m} has more than {max_digits} "
+            "digits, more than the report can print"
+        )
     t0 = time.perf_counter()
 
     counts, adm_mask = _admissible_mask(m)
@@ -329,18 +402,7 @@ def search(config: SearchConfig) -> SearchResult:
                     fh.write(_checkpoint_line(prefix, outcome) + "\n")
 
         if config.workers > 1 and len(todo) > 1:
-            # Imported here, because the pool's modules add about 15 ms and
-            # 1.3 MB to every start-up. Workers are forked: a spawned worker
-            # imports numpy afresh, which costs more than an order-20 search.
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-
-            n = min(len(todo), config.workers * CHUNKS_PER_WORKER)
-            jobs = [(todo[i * len(todo) // n : (i + 1) * len(todo) // n], scan) for i in range(n)]
-            with ProcessPoolExecutor(min(config.workers, n), mp_context=get_context("fork")) as pool:
-                for chunk in pool.map(_scan_chunk, jobs):
-                    for prefix, outcome in chunk:
-                        record(prefix, outcome)
+            _scan_forked(todo, scan, config.workers, record)
         else:
             for prefix, outcome in _scan(todo, scan):
                 record(prefix, outcome)

@@ -1,5 +1,8 @@
+import contextlib
 import json
 import os
+import signal
+import time
 import types
 
 import pytest
@@ -9,6 +12,7 @@ from circhad import group_by_name, is_rg_matrix, parse_matrix_document
 from circhad.cli import _parse_row, main
 from circhad.groupring import RECOVERY_NODE_BUDGET
 from circhad.groups import Listing
+from circhad.searchengine import _npkernel
 
 EQ1_TEXT = "+++-\n-+++\n+-++\n++-+\n"
 
@@ -274,9 +278,28 @@ def test_capacity_rule_without_the_row_sum_filter(monkeypatch, capsys):
     )
     assert main(["search", "--order", "29", "--no-filter", "row_sum", "--force"]) == 4
     assert capsys.readouterr().err.startswith("internal error: RuntimeError: a found row failed")
-    # 141^2 leaves a count of about 6,000 digits, which the message must not print
-    assert main(["search", "--order", "19881"]) == 3
-    assert capsys.readouterr().err.startswith("capacity error: order 19881 leaves at least 2^19873 rows")
+    # 119^2, the largest square order below the report's bound, leaves a count of
+    # about 4,260 digits, which the message must not print
+    assert main(["search", "--order", "14161"]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: order 14161 leaves at least 2^14154 rows")
+
+
+@pytest.mark.parametrize("argv", [["--order", "15000"], ["--order", "19881"],
+                                  ["--order", "1000000", "--no-filter", "row_sum"]])
+def test_orders_whose_row_count_cannot_be_printed_are_refused_first(capsys, argv):
+    start = time.perf_counter()
+    assert main(["search"] + argv) == 3
+    assert time.perf_counter() - start < 0.5
+    order = argv[1]
+    assert capsys.readouterr().err == (
+        f"capacity error: order {order} is too large: its row count 2^{order} has more than "
+        "4300 digits, more than the report can print\n"
+    )
+
+
+def test_largest_printable_order_is_reported(capsys):
+    assert main(["search", "--order", "14284"]) == 0
+    assert f"total rows: {1 << 14284}\n" in capsys.readouterr().out
 
 
 def test_fault_inside_a_worker_process_exits_four(monkeypatch, capsys):
@@ -286,6 +309,87 @@ def test_fault_inside_a_worker_process_exits_four(monkeypatch, capsys):
     assert err.startswith("internal error: RuntimeError: kernel fault in process ")
     assert err.count("\n") == 1
     assert int(err.split()[-1]) != os.getpid()
+
+
+def fails_at(bad_prefix):
+    """The numpy kernel, except that it raises where it would yield `bad_prefix`."""
+    def scan_partitions(m, prefixes, *args):
+        for item in _npkernel.scan_partitions(m, prefixes, *args):
+            if item[0] == bad_prefix:
+                raise RuntimeError(f"kernel fault at prefix {bad_prefix:#x}")
+            yield item
+    return types.SimpleNamespace(BACKEND="faulty", scan_partitions=scan_partitions)
+
+
+def test_partitions_finished_before_a_worker_fault_stay_in_the_checkpoint(monkeypatch, tmp_path, capsys):
+    unbroken = tmp_path / "unbroken.ckpt"
+    expected = search_output(partitioned_search("16", "2") + [str(unbroken)], capsys)
+    faulted = tmp_path / "faulted.ckpt"
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_kernel", fails_at(0x21))
+        assert main(partitioned_search("16", "2") + [str(faulted)]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: kernel fault at prefix 0x21\n"
+    # the header and one line for each of the partitions 0x0 to 0x20, in order
+    lines = unbroken.read_text().splitlines(keepends=True)
+    assert faulted.read_text() == "".join(lines[: 1 + 0x21])
+    assert search_output(partitioned_search("16", "2") + [str(faulted)], capsys) == expected
+    assert faulted.read_bytes() == unbroken.read_bytes()
+
+
+def waits_for_the_checkpoint(path):
+    """The numpy kernel, except that before it yields the last partition p of its
+    share it waits until the checkpoint records partitions 0 to p - 1. So it
+    finishes only if results reach the checkpoint while the workers still run."""
+    def scan_partitions(m, prefixes, *args):
+        for item in _npkernel.scan_partitions(m, prefixes, *args):
+            give_up = time.monotonic() + 20
+            while item[0] == prefixes[-1] and path.read_text().count("\n") < 1 + item[0]:
+                if time.monotonic() > give_up:
+                    raise RuntimeError("earlier results did not reach the checkpoint")
+                time.sleep(0.01)
+            yield item
+    return types.SimpleNamespace(BACKEND=_npkernel.BACKEND, scan_partitions=scan_partitions)
+
+
+def test_results_are_recorded_while_workers_run(monkeypatch, tmp_path, capsys):
+    unbroken = tmp_path / "unbroken.ckpt"
+    expected = search_output(partitioned_search("16", "2") + [str(unbroken)], capsys)
+    streamed = tmp_path / "streamed.ckpt"
+    monkeypatch.setattr(engine, "_kernel", waits_for_the_checkpoint(streamed))
+    assert search_output(partitioned_search("16", "2") + [str(streamed)], capsys) == expected
+    assert streamed.read_bytes() == unbroken.read_bytes()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_that_dies_without_a_result_exits_four(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def dies(m, prefixes, *args):
+        if os.getpid() != parent:
+            os._exit(9)
+        raise AssertionError("the kernel ran in the parent process")
+
+    monkeypatch.setattr(engine, "_kernel", types.SimpleNamespace(BACKEND="dies", scan_partitions=dies))
+    with deadline(30):
+        assert main(["search", "--order", "12", "--no-filter", "row_sum", "--workers", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: worker process ")
+    assert err.endswith(" exited without a result\n")
+    assert err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_recover_wrong_order_exit_two(eq1_file, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ def test_determinism_across_workers_and_partitions():
         for w, d in ((1, None), (2, None), (8, None), (1, 0), (3, 5), (8, 8))
     ]
     assert all(p == payloads[0] for p in payloads)
+
+
+def test_workers_beyond_the_cpus_fork_one_child_per_cpu(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # 64 partitions, so not even a broken cap can fork more than 64 children
+    result = search(SearchConfig(order=12, row_sum=False, workers=10_000, partition_depth=6))
+    assert len(forks) == min(64, len(os.sched_getaffinity(0)))
+    assert result.meta["workers"] == 10_000
+    serial = search(SearchConfig(order=12, row_sum=False, partition_depth=6))
+    assert result.deterministic_payload() == serial.deterministic_payload()
 
 
 def test_crosscheck_runs_and_agrees(kernel):
