@@ -3,7 +3,8 @@
 Exit codes: 0 = verified/true, 1 = verified false (not Hadamard, listing not
 found, conditions violated), 2 = usage or input format error, 3 = capacity or
 feasibility error, 4 = internal error (a fault of circhad itself, such as a
-kernel result the gram oracle rejects).
+kernel result the gram oracle rejects), 130 = interrupted (Ctrl-C); an
+interrupted search keeps its checkpoint, so the same command resumes it.
 """
 
 from __future__ import annotations
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
     except (RuntimeError, KeyError, MemoryError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -18,9 +18,10 @@ The inner scan runs on a vectorised numpy kernel; its pure-Python twin in
 every found row is re-verified with the gram oracle.
 
 The pending partitions go to the kernel's `scan_partitions` as one batched
-frontier of at most `_npkernel.FRONTIER_CAP` nodes per level, which yields
-each partition's result in prefix order as soon as it is final; so a
-checkpoint line is appended as each partition finishes. With N > 1 workers,
+frontier, held node-minor and split into halves of at most
+`_npkernel.FRONTIER_CAP` nodes, which yields each partition's result in prefix
+order as soon as it is final; so a checkpoint line is appended as each
+partition finishes. With N > 1 workers,
 up to N forked child processes, one per CPU at most, take the pending
 partitions in round-robin shares, each scanned as one batched frontier, and
 stream every partition's result back as soon as it is final; the parent

@@ -1,12 +1,20 @@
 """Vectorised enumeration kernel: `_pykernel`'s scan, one tree level at a time.
 
-The frontier of a scan is held as arrays with one entry per node: the mask,
-the signs assigned so far, the partial autocorrelations, the negative count
-and the even-block count (a node's odd blocks are the rest of the blocks it
-has set). At each level the row-sum window, the balance quota and the
-autocorrelation bound of `_pykernel` are applied to both children of every
-node as boolean masks, and only the surviving children are built. Child 0 of a
-node sits before child 1, so both kernels reach the same rows in the same order.
+The frontier of a scan is held node-minor: the masks, negative counts and
+even-block counts (a node's odd blocks are the rest of the blocks it has set)
+are arrays of N entries, one per node, and the signs and the partial
+autocorrelations are int8 arrays of shape (m, N) and (m // 2, N), with row j
+holding entry j and row s-1 holding shift s. So every step of a level is one
+vector operation along the N nodes. At each level the row-sum window, the
+balance quota and the autocorrelation bound of `_pykernel` are applied to both
+children of every node as a (2, N) boolean mask, and only the surviving
+children are built. Child b of node i is 2i+b, so both kernels reach the same
+rows in the same order.
+
+Building the children is a gather of the parent columns, and it copies only the
+rows that later levels read: the last m // 2 signs and the partial sums that
+have started. The first entries of a row are dropped once no shift reaches
+them; at a leaf they are rebuilt from the mask to close the wrapped shifts.
 
 `scan_partitions` scans many partitions as one batched frontier: every
 pending prefix is installed at once, and each leaf is credited to its
@@ -24,8 +32,9 @@ import numpy as np
 from . import _pykernel
 
 BACKEND = "numpy"
-# Measured on 2 vCPUs: 2048 scans orders 20 to 28 about 10% slower, and 8192
-# is no faster at order 20 while holding more memory.
+# Measured on 2 vCPUs (BENCH_11.json): 8192 and 16384 scan orders 20 to 28
+# 10-30% faster, but raise the peak RSS of the serial search benchmark by 0.7 and
+# 1.7 MB; 2048 was about 10% slower than 4096 before the node-minor layout.
 FRONTIER_CAP = 4096
 
 _HASH_MULT = np.uint64(_pykernel._HASH_MULT)
@@ -48,6 +57,19 @@ def scan_subtree(
         m, [prefix], depth, row_sum_on, adm_mask, balance_on, paf_prefix_on, cc_threshold
     )
     return tuple(result)
+
+
+def _leading_signs(masks: np.ndarray, m: int, count: int) -> np.ndarray:
+    """Entries 0 to count-1 of the rows of length m that `masks` encode, node-minor.
+
+    Row j of the (count, len(masks)) int8 result is entry j, which is bit m-1-j.
+    One row at a time: a (count, len(masks)) uint64 temporary raised the peak
+    RSS of an order-16 cross-checked search by 0.7 MB.
+    """
+    signs = np.empty((count, len(masks)), dtype=np.int8)
+    for j in range(count):
+        signs[j] = _SIGN[(masks >> np.uint64(m - 1 - j)) & np.uint64(1)]
+    return signs
 
 
 def scan_partitions(
@@ -80,33 +102,45 @@ def scan_partitions(
         """Set entry k of every node in place; bits[i] is node i's new bit."""
         masks, signs, partial, negs, evens = nodes
         r = _SIGN[bits]
-        signs[:, k] = r
+        signs[k] = r
         shifts = min(k, nshift)
-        # column s-1 of partial holds shift s, which pairs entry k with entry k-s
-        partial[:, :shifts] += signs[:, k - shifts : k][:, ::-1] * r[:, None]
+        # row s-1 of partial holds shift s, which pairs entry k with entry k-s
+        partial[:shifts] += signs[k - shifts : k][::-1] * r
         negs += bits
         if track_balance and k >= half:
-            evens += signs[:, k - half] == r
+            evens += signs[k - half] == r
         nodes[0] = (masks << np.uint64(1)) | bits
 
     def children(nodes, k: int) -> np.ndarray:
-        """keep[i, b]: the child of node i with bit b at entry k survives pruning."""
+        """keep[b, i]: the child of node i with bit b at entry k survives pruning."""
         _, signs, partial, negs, evens = nodes
-        keep = np.ones((len(negs), 2), dtype=bool)
+        keep = np.ones((2, len(negs)), dtype=bool)
         if row_sum_on:
-            keep &= window[k, negs[:, None] + _BOTH_BITS]
+            keep &= window[k, negs + _BOTH_BITS[:, None]]
         if track_balance and k >= half:
-            plus_is_even = signs[:, k - half] == 1
-            child_evens = evens[:, None] + np.stack([plus_is_even, ~plus_is_even], axis=1)
+            plus_is_even = signs[k - half] == 1
+            child_evens = evens + np.stack([plus_is_even, ~plus_is_even])
             keep &= (child_evens <= quota) & (k + 1 - half - child_evens <= quota)
         shifts = min(k, nshift)
         if paf_prefix_on and shifts:
-            remaining = m - k - 1 + np.arange(1, shifts + 1)
-            step = signs[:, k - shifts : k][:, ::-1]
-            part = partial[:, :shifts]
-            keep[:, 0] &= np.all(np.abs(part + step) <= remaining, axis=1)
-            keep[:, 1] &= np.all(np.abs(part - step) <= remaining, axis=1)
+            remaining = (m - k - 1 + np.arange(1, shifts + 1, dtype=np.int8))[:, None]
+            step = signs[k - shifts : k][::-1]
+            part = partial[:shifts]
+            keep[0] &= np.all(np.abs(part + step) <= remaining, axis=0)
+            keep[1] &= np.all(np.abs(part - step) <= remaining, axis=0)
         return keep
+
+    def gather(nodes, k: int, parents: np.ndarray) -> list:
+        """The nodes at `parents`, with only the rows that entries k and later read."""
+        masks, signs, partial, negs, evens = nodes
+        n = len(parents)
+        lo, shifts = max(0, k - nshift), min(k, nshift)
+        new_signs = np.empty((m, n), dtype=np.int8)
+        new_partial = np.empty((nshift, n), dtype=np.int8)
+        new_partial[shifts:] = 0
+        signs[lo:k].take(parents, axis=1, out=new_signs[lo:k], mode="clip")
+        partial[:shifts].take(parents, axis=1, out=new_partial[:shifts], mode="clip")
+        return [masks.take(parents), new_signs, new_partial, negs.take(parents), evens.take(parents)]
 
     def credit(totals: np.ndarray, part: np.ndarray) -> None:
         """Add one to totals[i] for every entry i of the sorted partition indices."""
@@ -127,28 +161,28 @@ def scan_partitions(
     bits = np.array(prefixes, dtype=np.uint64)
     nodes = [
         np.zeros(count, dtype=np.uint64),
-        np.zeros((count, m), dtype=np.int8),
-        np.zeros((count, nshift), dtype=np.int8),
+        np.zeros((m, count), dtype=np.int8),
+        np.zeros((nshift, count), dtype=np.int8),
         np.zeros(count, dtype=np.int8),
         np.zeros(count, dtype=np.int8),
     ]
     for k in range(depth):
         assign(nodes, k, ((bits >> np.uint64(depth - 1 - k)) & np.uint64(1)).astype(np.uint8))
-    pending = [(depth, [a[i : i + FRONTIER_CAP] for a in nodes])
+    pending = [(depth, [a[..., i : i + FRONTIER_CAP] for a in nodes])
                for i in reversed(range(0, count, FRONTIER_CAP))]
 
     done = 0
     while pending:
         k, nodes = pending.pop()
         while k < m and len(nodes[0]):
-            survivors = np.flatnonzero(children(nodes, k))  # child b of node i is 2i+b
-            nodes = [a.take(survivors >> 1, axis=0) for a in nodes]
+            survivors = np.flatnonzero(children(nodes, k).T)  # child b of node i is 2i+b
+            nodes = gather(nodes, k, survivors >> 1)
             assign(nodes, k, (survivors & 1).astype(np.uint8))
             k += 1
             if len(nodes[0]) > FRONTIER_CAP:
                 cut = len(nodes[0]) // 2
-                pending.append((k, [a[cut:].copy() for a in nodes]))
-                nodes = [a[:cut] for a in nodes]
+                pending.append((k, [a[..., cut:].copy() for a in nodes]))
+                nodes = [a[..., :cut] for a in nodes]
         if k == m and len(nodes[0]):
             masks, signs, partial, negs, evens = nodes
             ok = np.ones(len(masks), dtype=bool)
@@ -156,20 +190,26 @@ def scan_partitions(
                 ok &= window[m - 1, negs]  # a window one count wide: negs itself is admissible
             if track_balance:
                 ok &= evens == quota  # a leaf has set all 2 * quota blocks
-            masks, signs, partial = masks[ok], signs[ok], partial[ok]
+            leaves = np.flatnonzero(ok)
+            masks = masks[leaves]
             part = np.searchsorted(starts, masks, side="right") - 1
             credit(reached, part)
-            flat = np.ones(len(masks), dtype=bool)
+            first = _leading_signs(masks, m, nshift)  # the gather dropped these rows
+            flat = np.arange(len(masks))  # the leaves whose shifts so far sum to 0
             for s in range(1, nshift + 1):
-                wrap = np.einsum("ij,ij->i", signs[:, m - s :], signs[:, :s], dtype=np.int64)
-                flat &= partial[:, s - 1] + wrap == 0
+                # entries m-s.. wrap onto entries ..s-1; each sum is at most m <= 64
+                rows = leaves[flat]
+                wrap = np.einsum("ij,ij->j", signs[m - s :, rows], first[:s, flat])
+                flat = flat[partial[s - 1, rows] + wrap == 0]
             for mask, i in zip(masks[flat].tolist(), part[flat].tolist()):
                 found[i].append(mask)
             if cc_threshold:
                 picked = (masks * _HASH_MULT) >> np.uint64(32) < np.uint64(cc_threshold)
                 verdicts = _pykernel.gram_hadamard_batch(masks[picked], m)
                 credit(crosschecked, part[picked])
-                credit(mismatches, part[picked][verdicts != flat[picked]])
+                is_flat = np.zeros(len(masks), dtype=bool)
+                is_flat[flat] = True
+                credit(mismatches, part[picked][verdicts != is_flat[picked]])
         if pending:
             top_k, top = pending[-1]
             lowest = np.uint64(int(top[0][0]) << (m - top_k))

@@ -2,11 +2,15 @@ import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 
+import circhad
 import circhad.searchengine as engine
 from circhad import group_by_name, is_rg_matrix, parse_matrix_document
 from circhad.cli import _parse_row, main
@@ -390,6 +394,47 @@ def test_worker_that_dies_without_a_result_exits_four(monkeypatch, capsys):
     assert err.count("\n") == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def interrupted(m, prefixes, *args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_interrupt_exits_130_without_a_traceback(monkeypatch, capsys, workers):
+    monkeypatch.setattr(engine, "_kernel", types.SimpleNamespace(BACKEND="stub", scan_partitions=interrupted))
+    try:
+        code = main(["search", "--order", "12", "--no-filter", "row_sum", "--workers", workers])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
+def test_sigint_ends_a_forked_search_with_130_and_the_checkpoint_resumes(tmp_path, capsys):
+    checkpoint = tmp_path / "interrupted.ckpt"
+    argv = ["search", "--order", "28", "--no-filter", "row_sum", "--workers", "2",
+            "--partition-depth", "8", "--checkpoint"]
+    env = {**os.environ, "PYTHONPATH": str(Path(circhad.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "circhad", *argv, str(checkpoint)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        give_up = time.monotonic() + 60
+        # the header and 8 of the 256 partitions: the search is well under way
+        while not checkpoint.exists() or checkpoint.read_text().count("\n") < 9:
+            assert proc.poll() is None and time.monotonic() < give_up
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+    assert checkpoint.read_text().count("\n") < 257
+    unbroken = tmp_path / "unbroken.ckpt"
+    expected = search_output(argv + [str(unbroken)], capsys)
+    assert search_output(argv + [str(checkpoint)], capsys) == expected
+    assert checkpoint.read_bytes() == unbroken.read_bytes()
 
 
 def test_recover_wrong_order_exit_two(eq1_file, capsys):

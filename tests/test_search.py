@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -168,17 +169,57 @@ def test_scan_partitions_in_order_through_small_frontiers(monkeypatch, cap):
         # random row[0] = + prefixes, from random.Random(m).getrandbits(depth - 1)
         (36, 20, [0x2A12D, 0x778A, 0x7DD9F, 0x2AB3, 0x7AC89]),
         (64, 46, [0x139DA1560927, 0x11286769FC6F, 0x15FAEB86B180]),
+        (35, 18, [0x4371, 0xABB5, 0x118EE, 0x18046]),
+        (63, 44, [0x206E8D054B6, 0x38D71F4A4E4, 0x5477BFB8024, 0x7714B4961F1]),
     ],
 )
 def test_kernels_agree_on_deep_subtrees_of_large_orders(m, depth, prefixes):
     assert m <= engine.KERNEL_ORDER_LIMIT
     _, adm_mask = engine._admissible_mask(m)
-    filters = (True, adm_mask, True, True, 1 << 31)
-    expected = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in sorted(prefixes)]
+    filter_sets = [(True, adm_mask, True, True, 1 << 31)]
+    if not adm_mask:
+        # no row sum is admissible at an odd order, so that filter empties the
+        # frontier at its first level; the other filters also run without it
+        filter_sets.append((False, adm_mask, True, True, 1 << 31))
+    for filters in filter_sets:
+        expected = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in sorted(prefixes)]
+        assert list(_npkernel.scan_partitions(m, sorted(prefixes), depth, *filters)) == expected
+        for entry in expected:
+            assert _npkernel.scan_subtree(m, entry[0], depth, *filters) == entry[1:]
     assert sum(entry[1] for entry in expected) > 0
-    assert list(_npkernel.scan_partitions(m, sorted(prefixes), depth, *filters)) == expected
-    for entry in expected:
-        assert _npkernel.scan_subtree(m, entry[0], depth, *filters) == entry[1:]
+
+
+def paf_is_flat(mask, m):
+    row = mask_to_signs(mask, m)
+    return all(sum(row[i] * row[(i + s) % m] for i in range(m)) == 0 for s in range(1, m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 63, 64])
+def test_leaf_signs_and_flatness_match_the_python_paf(m):
+    # every mask up to order 5, so order 4 holds the flat +++- orbit; at 63 and 64,
+    # random masks, half with the top bit set, and 0, 1 and all ones
+    if m <= 5:
+        masks = list(range(1 << m))
+    else:
+        rng = random.Random(m)
+        masks = sorted({rng.getrandbits(m) | 1 << (m - 1) for _ in range(20)}
+                       | {rng.getrandbits(m) for _ in range(20)} | {0, 1, (1 << m) - 1})
+    for count in (m // 2, m):
+        expected = np.array([mask_to_signs(mask, m)[:count] for mask in masks]).reshape(len(masks), count).T
+        got = _npkernel._leading_signs(np.array(masks, dtype=np.uint64), m, count)
+        assert got.dtype == np.int8 and np.array_equal(got, expected)
+    if m == 4:
+        assert [mask for mask in masks if paf_is_flat(mask, m)] == [1, 2, 4, 7, 8, 11, 13, 14]
+    # depth m installs every entry; at depth m - 1 the last level's gather drops
+    # the first entries, which the leaves rebuild from the masks
+    for depth in (m, m - 1):
+        prefixes = sorted({mask >> (m - depth) for mask in masks})
+        expected = []
+        for prefix in prefixes:
+            leaves = [prefix << (m - depth) | low for low in range(1 << (m - depth))]
+            found = [leaf for leaf in leaves if paf_is_flat(leaf, m)]
+            expected.append((prefix, len(leaves), found, len(leaves), 0))
+        assert list(_npkernel.scan_partitions(m, prefixes, depth, False, 0, False, False, 1 << 32)) == expected
 
 
 def test_order_limit_is_the_mask_width(capsys):
