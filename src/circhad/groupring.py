@@ -7,6 +7,8 @@ the natural listing the image is exactly the circulant with first row = coeffs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import CapacityError
@@ -14,9 +16,10 @@ from .groups import Group, Listing, cyclic_group, natural_listing
 from .signs import all_signs
 
 # Search nodes (candidate placements of an element at a position) that
-# `recover_listing` may explore before it gives up. The 16x16 constructions
-# need at most about 100k over any group of order 16; a 64x64 search explores
-# about 1.1M a second on a 2-vCPU x86-64 VM, so it gives up within about 0.5 s.
+# `recover_listing` may explore before it gives up. The order-16 questions of
+# the test suite need at most about 13k (the c2c2 square over Q8xC2); the
+# header-less 64x64 c2c8 (x) c4 matrix reaches the budget after 0.6 to 1.2 s
+# of search on a shared 2-vCPU x86-64 VM.
 RECOVERY_NODE_BUDGET = 500_000
 
 # Rows that `is_rg_matrix` compares at once: an int32 index and a coefficient
@@ -199,90 +202,207 @@ def is_rg_matrix(m, group: Group, listing: Listing) -> bool:
     return True
 
 
+def placement_order(group: Group) -> list[int]:
+    """The elements in the order `recover_listing` places them, identity first.
+
+    While elements are left, the one outside the span so far with the largest
+    order (lowest index on a tie) joins the generators, and the subgroup they
+    span is listed by right multiplication with the generators, starting from
+    the elements already listed. So the order runs along a chain of subgroups,
+    and every element after the identity is x * s for an earlier x and a
+    generator s.
+    """
+    n = group.order
+    orders = group.element_orders()
+    listed = [0]
+    seen = [False] * n
+    seen[0] = True
+    times: list[list[int]] = []  # times[j][x] = x * (generator j)
+    while len(listed) < n:
+        generator = int(np.argmax(np.where(seen, 0, orders)))
+        times.append(group.mul_table[:, generator].tolist())
+        # `listed` grows while it is read, so this is a breadth-first closure
+        for x in listed:
+            for by_generator in times:
+                y = by_generator[x]
+                if not seen[y]:
+                    seen[y] = True
+                    listed.append(y)
+    return listed
+
+
+def _coded_rows(
+    a: np.ndarray, values: list[int]
+) -> tuple[list[memoryview], list[list[int]], list[list[int]]] | None:
+    """The rows of a as codes, and one bitmask per code for each row and column.
+
+    The code of an entry is its index in `values`: rows[q][p] is the code of
+    a[q, p], bit p of row_masks[q][c] is set when a[q, p] has code c, and bit
+    p of col_masks[q][c] when a[p, q] has. Returns None when some entry is
+    none of the values. The values are those of one row, at most
+    MAX_GROUP_ORDER, so codes fit in uint16, and in uint8 for up to 256.
+    """
+    codes = np.zeros(a.shape, dtype=np.uint8 if len(values) <= 256 else np.uint16)
+    row_masks: list[list[int]] = [[] for _ in range(a.shape[0])]
+    col_masks: list[list[int]] = [[] for _ in range(a.shape[0])]
+    matched = 0
+    for c, v in enumerate(values):
+        equal = a == v
+        matched += np.count_nonzero(equal)
+        codes[equal] = c
+        for masks, lines in ((row_masks, equal), (col_masks, equal.T)):
+            for line, bits in zip(masks, np.packbits(lines, axis=1, bitorder="little")):
+                line.append(int.from_bytes(bits.tobytes(), "little"))
+    if matched != a.size:
+        return None
+    return [memoryview(line) for line in codes], row_masks, col_masks
+
+
 def recover_listing(m, group: Group) -> Listing | None:
     """Search for a listing (with the identity first) that makes m an RG-matrix.
 
-    Backtracks over positions left to right, keeping the partially learned
-    coefficient vector consistent; returns the first listing in lexicographic
-    order of assignments, or None when no listing works. Each candidate
-    placement of an element at a position is one search node; raises
-    CapacityError once RECOVERY_NODE_BUDGET nodes have been explored.
+    Places the elements in `placement_order`, each at a free position, keeping
+    the partially learned coefficient vector consistent: with e at position p
+    and f at q, entry (q, p) is the coefficient of f^-1 * e and entry (p, q)
+    that of e^-1 * f. An element's candidate positions are the free ones whose
+    diagonal entry is the identity's, ANDed with the row and column bitmasks
+    of the placed elements whose coefficient with it is already known, until
+    at most one is left. They are tried lowest first; where a coefficient not
+    yet known sits in two of the new entries, a bitmask of the positions at
+    which those two agree drops the others without calling `consistent`.
+    Returns the first listing found, or None when none works: the search is
+    exhaustive, so None is exact. Each candidate placement of an element at a
+    position is one search node; raises CapacityError once
+    RECOVERY_NODE_BUDGET nodes have been explored.
     """
     arr = m.entries if isinstance(m, SignMatrix) else _integers(m, "matrix entries")
     n = group.order
     if arr.shape != (n, n):
         raise ValueError(f"matrix shape {arr.shape} does not match group order {n}")
-    # The search reads single entries, which costs several times more on numpy
-    # arrays than on Python lists, so it works on lists: rows[p][q] is entry
-    # (p, q), cols[p][q] is entry (q, p), left[f][e] is f^-1 * e, and None
-    # marks a coefficient not yet learned (any integer is a valid coefficient).
-    rows = arr.tolist()
-    cols = arr.T.tolist()
-    mul = group.mul_table.tolist()
-    left = [mul[f_inv] for f_inv in group.inv_table.tolist()]
+    # Every row of an RG-matrix permutes the coefficients, so row 0 holds all
+    # their values; they are read without np.unique, whose first call imports
+    # numpy.ma (about 10 ms in a fresh process). The search reads single
+    # entries, which costs several times more on numpy arrays than on
+    # memoryviews, so it reads coded rows; None marks a coefficient not yet
+    # learned.
+    coded = _coded_rows(arr, sorted(set(arr[0].tolist())))
+    if coded is None:
+        return None
+    rows, row_masks, col_masks = coded
+    order = placement_order(group)
+    inv_order = group.inv_table[order]
 
     coeffs: list[int | None] = [None] * n
-    perm = [0]
-    used = [False] * n
-    used[0] = True
     coeffs[0] = rows[0][0]
+    diagonal = np.packbits(np.diagonal(arr) == arr[0, 0], bitorder="little")
+    free = int.from_bytes(diagonal.tobytes(), "little") & ~1
+    positions = [0]  # positions[i] holds order[i]
     nodes = 0
 
-    def consistent(p: int, e: int, learned: list[int]) -> bool:
-        # New entries visible once position p holds element e: row p and column p
-        # against every already assigned position q, entry (q, p) before (p, q).
+    # Backtracking re-enters the same few depths, so what each depth needs is
+    # kept for the last eight; a whole path's would take about n^2 entries.
+    @functools.lru_cache(maxsize=8)
+    def pairs(d: int) -> tuple[list[int], list[int]]:
+        # f^-1 * e and e^-1 * f for e = order[d] and each placed f, in order
+        left = group.mul_table[inv_order[:d], order[d]]
+        return left.tolist(), group.inv_table[left].tolist()
+
+    @functools.lru_cache(maxsize=8)
+    def twins(d: int) -> list[tuple[int, int]]:
+        # the (i, j) with left[i] == right[j]: entry (q, p) of the i-th placed
+        # element and entry (p, r) of the j-th carry the same coefficient
+        left, right = pairs(d)
+        index = {g: i for i, g in enumerate(left)}
+        return [(index[h], j) for j, h in enumerate(right) if h in index]
+
+    def candidates(d: int) -> tuple[int, int]:
+        # The positions that the known coefficients allow, and those of them
+        # where every unknown coefficient met twice gets one value: of the
+        # allowed positions, `consistent` succeeds on these alone. Once one
+        # position is left, `consistent` decides it without more masks.
+        left, right = pairs(d)
+        allowed = free
+        for q, g, h in zip(positions, left, right):
+            known = coeffs[g]
+            if known is not None:
+                allowed &= row_masks[q][known]
+            known = coeffs[h]
+            if known is not None:
+                allowed &= col_masks[q][known]
+            if not allowed & (allowed - 1):
+                break
+        agreeing = allowed
+        if allowed & (allowed - 1):
+            for i, j in twins(d):
+                if coeffs[left[i]] is None:
+                    same = 0
+                    for by_row, by_col in zip(row_masks[positions[i]], col_masks[positions[j]]):
+                        same |= by_row & by_col
+                    agreeing &= same
+                    if not agreeing:
+                        break
+        return allowed, agreeing
+
+    def consistent(p: int, learned: list[int]) -> bool:
+        # entries (q, p) and (p, q) against every placed position q, the
+        # column entry first; the diagonal was checked by the `free` mask
+        left, right = pairs(len(positions))
         row_p = rows[p]
-        col_p = cols[p]
-        left_e = left[e]
-        for q, f in enumerate(perm):
-            g = left[f][e]
+        for q, g, h in zip(positions, left, right):
             known = coeffs[g]
             if known is None:
-                coeffs[g] = col_p[q]
+                coeffs[g] = rows[q][p]
                 learned.append(g)
-            elif known != col_p[q]:
+            elif known != rows[q][p]:
                 return False
-            g = left_e[f]
-            known = coeffs[g]
+            known = coeffs[h]
             if known is None:
-                coeffs[g] = row_p[q]
-                learned.append(g)
+                coeffs[h] = row_p[q]
+                learned.append(h)
             elif known != row_p[q]:
                 return False
-        # q == p: the diagonal entry sits on the identity, learned from (0, 0)
-        return row_p[p] == coeffs[0]
+        return True
 
-    # Depth-first over positions with an explicit stack, so the depth is not
-    # bounded by Python's recursion limit: untried[i] iterates the elements
-    # still to try at position i + 1, learned_by[i] holds the coefficients
-    # that the placement there fixed.
-    untried = [iter(range(n))]
+    # Depth-first with an explicit stack, so the depth is not bounded by
+    # Python's recursion limit: untried[i] holds the candidate positions of
+    # order[i + 1] not tried yet, and those of them that agree; learned_by[i]
+    # holds the coefficients its placement fixed.
+    untried = [candidates(1)] if n > 1 else []
     learned_by: list[list[int]] = []
-    while len(perm) < n:
-        p = len(perm)
-        for e in untried[-1]:
-            if used[e]:
-                continue
-            if nodes == RECOVERY_NODE_BUDGET:
-                raise CapacityError(
-                    f"listing recovery over {group.name} gave up after exploring {nodes} nodes"
-                )
-            nodes += 1
-            learned: list[int] = []
-            if consistent(p, e, learned):
-                perm.append(e)
-                used[e] = True
-                learned_by.append(learned)
-                untried.append(iter(range(n)))
-                break
-            for g in learned:
-                coeffs[g] = None
-        else:
-            # every element failed at position p: undo the placement before it
+    while len(positions) < n:
+        cand, agreeing = untried[-1]
+        # try the lowest agreeing position; every candidate below it fails,
+        # and each counts as a node
+        bit = agreeing & -agreeing
+        tried = cand & ((bit << 1) - 1)  # every candidate left when bit is 0
+        if nodes + tried.bit_count() > RECOVERY_NODE_BUDGET:
+            raise CapacityError(
+                f"listing recovery over {group.name} gave up after exploring "
+                f"{RECOVERY_NODE_BUDGET} nodes"
+            )
+        nodes += tried.bit_count()
+        if not bit:
+            # every candidate failed: undo the placement before this one
             untried.pop()
             if not learned_by:
                 return None
-            used[perm.pop()] = False
+            free |= 1 << positions.pop()
             for g in learned_by.pop():
                 coeffs[g] = None
+            continue
+        untried[-1] = (cand ^ tried, agreeing ^ bit)
+        p = bit.bit_length() - 1
+        learned: list[int] = []
+        if consistent(p, learned):
+            positions.append(p)
+            free ^= bit
+            learned_by.append(learned)
+            if len(positions) < n:
+                untried.append(candidates(len(positions)))
+        else:
+            for g in learned:
+                coeffs[g] = None
+    perm = [0] * n
+    for e, p in zip(order, positions):
+        perm[p] = e
     return Listing(group, perm)

@@ -60,6 +60,23 @@ class Group:
                 raise ValueError("table is not a group (element order exceeds group order)")
         return k
 
+    def element_orders(self) -> np.ndarray:
+        """Every element's order at once: entry a is `element_order(a)`.
+
+        Raises all elements to successive powers together, so it takes one
+        table lookup per element for each power up to the group's exponent.
+        """
+        n = self.order
+        idx = np.arange(n, dtype=np.int32)
+        orders = np.zeros(n, dtype=np.int64)
+        power = idx
+        for k in range(1, n + 1):
+            orders[(power == 0) & (orders == 0)] = k
+            if orders.all():
+                return orders
+            power = self.mul_table[power, idx]
+        raise ValueError("table is not a group (element order exceeds group order)")
+
     def validate(self, check_associativity: bool | None = None) -> None:
         """Check the group axioms on the table; raises ValueError on violation.
 

@@ -197,7 +197,7 @@ def test_recover_json(eq1_file, capsys):
 
 
 def test_recover_and_verify_use_the_header_listing(tmp_path, capsys):
-    # listing recovery alone does not finish on this 64x64 matrix in any useful time
+    # listing recovery alone gives up on this 64x64 matrix at the node budget
     path = tmp_path / "ext64.txt"
     assert main(["construct", "--family", "c2c8", "--extend", "c4", "--times", "1",
                  "--out", str(path)]) == 0
@@ -213,17 +213,20 @@ def test_recover_and_verify_use_the_header_listing(tmp_path, capsys):
     assert payload["rg"] == {"group": "C2xC8xC4", "rg_matrix": True, "listing": list(doc.listing)}
 
 
+def without_listing_header(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("listing:")))
+
+
 def test_recover_without_header_listing_stops_at_the_node_budget(tmp_path, capsys):
     path = tmp_path / "ext64.txt"
     assert main(["construct", "--family", "c2c8", "--extend", "c4", "--times", "1",
                  "--out", str(path)]) == 0
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(line for line in lines if not line.startswith("listing:")))
+    without_listing_header(path)
     assert main(["recover", "--file", str(path), "--group", "C2xC8xC4"]) == 3
     err = capsys.readouterr().err
     assert err == ("capacity error: listing recovery over C2xC8xC4 gave up after exploring "
                    f"{RECOVERY_NODE_BUDGET} nodes\n")
-
 
 
 def test_recover_without_header_listing_at_order_1024(tmp_path, capsys):
@@ -231,15 +234,25 @@ def test_recover_without_header_listing_at_order_1024(tmp_path, capsys):
     path = tmp_path / "m1024.txt"
     assert main(["construct", "--family", "c4", "--extend", "c4", "--times", "4",
                  "--out", str(path)]) == 0
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(line for line in lines if not line.startswith("listing:")))
+    without_listing_header(path)
     group = group_by_name("C4xC4xC4xC4xC4")
-    code = main(["recover", "--file", str(path), "--group", group.name, "--format", "json"])
-    assert code in (0, 3)
-    if code == 0:
-        listing = json.loads(capsys.readouterr().out)["listing"]
-        matrix = parse_matrix_document(path.read_text()).to_sign_matrix()
-        assert is_rg_matrix(matrix, group, Listing(group, listing))
+    assert main(["recover", "--file", str(path), "--group", group.name, "--format", "json"]) == 0
+    listing = json.loads(capsys.readouterr().out)["listing"]
+    matrix = parse_matrix_document(path.read_text()).to_sign_matrix()
+    assert is_rg_matrix(matrix, group, Listing(group, listing))
+
+
+@pytest.mark.parametrize("group", ["Q8xC2", "C2xC8"])
+def test_recover_without_header_listing_of_the_c2c2_square(tmp_path, capsys, group):
+    # c2c2 (x) c2c2 is an RG-matrix over C2^4 but over neither of these groups
+    path = tmp_path / "c2c2sq.txt"
+    assert main(["construct", "--family", "c2c2", "--extend", "c2c2", "--times", "1",
+                 "--out", str(path)]) == 0
+    without_listing_header(path)
+    capsys.readouterr()
+    assert main(["recover", "--file", str(path), "--group", group]) == 1
+    assert capsys.readouterr().out == f"listing over {group}: not-found\n"
+
 
 def test_bad_header_listing_falls_back_to_recovery(tmp_path, capsys):
     # eq1 relabelled so that neither the natural nor the paired listing works

@@ -13,6 +13,7 @@ from circhad import (
     circulant_sign_matrix,
     cyclic_group,
     direct_product,
+    group_by_name,
     is_hadamard,
     is_rg_matrix,
     natural_listing,
@@ -25,6 +26,7 @@ from circhad import (
     rg_sign_matrix,
 )
 from circhad.blocks import block_system
+from circhad.groupring import placement_order
 from circhad.constructions import FAMILIES, c2c8_matrix, kronecker_extend, quaternion_c2_matrix
 from circhad.signs import row_to_mask as signs_to_mask
 
@@ -263,17 +265,30 @@ def reference_recover_listing(m, group):
     return tuple(perm), nodes
 
 
-def assert_recovery_matches_reference(monkeypatch, matrix, group):
-    # the reference's first listing (or None) within exactly its node count;
-    # a budget one node short stops the search
-    perm, nodes = reference_recover_listing(matrix, group)
-    monkeypatch.setattr(groupring, "RECOVERY_NODE_BUDGET", nodes)
-    found = recover_listing(matrix, group)
-    assert (None if found is None else found.perm) == perm
+def recovered_within(monkeypatch, matrix, group, nodes):
+    # the search's answer within a budget of exactly `nodes`; one node fewer
+    # stops it, so it explores exactly that many
     monkeypatch.setattr(groupring, "RECOVERY_NODE_BUDGET", nodes - 1)
-    with pytest.raises(CapacityError, match=f"after exploring {nodes - 1} nodes"):
+    with pytest.raises(CapacityError, match=f"after exploring {nodes - 1} nodes$"):
         recover_listing(matrix, group)
-    return perm, nodes
+    monkeypatch.setattr(groupring, "RECOVERY_NODE_BUDGET", nodes)
+    return recover_listing(matrix, group)
+
+
+def assert_reference_verdict(matrix, group, found):
+    # the exhaustive reference decides whether a listing exists; any listing
+    # the search returns must make the matrix an RG-matrix
+    perm, _ = reference_recover_listing(matrix, group)
+    assert (found is not None) == (perm is not None)
+    if found is not None:
+        assert found.perm[0] == 0
+        assert is_rg_matrix(matrix, group, found)
+
+
+# nodes the search explores on each matrix of random_rg_matrices(), in order
+RANDOM_RG_NODES = [29, 7, 7, 7, 7, 9, 9, 34, 8, 7, 22, 8, 7, 7, 8]
+# and on each integer matrix of the test below, in order
+INTEGER_RG_NODES = [19, 7, 10, 10, 7, 13, 7, 7, 15, 9, 7, 7, 8, 7, 8]
 
 
 def test_recover_listing_matches_reference_on_small_cases(monkeypatch):
@@ -282,44 +297,143 @@ def test_recover_listing_matches_reference_on_small_cases(monkeypatch):
     broken[3, 0] = -broken[3, 0]
     broken_diagonal = EQ1.copy()
     broken_diagonal[3, 3] = -broken_diagonal[3, 3]
-    for entries, expected in ((EQ1, (0, 1, 2, 3)), (BLOCKED, (0, 2, 1, 3)), (broken, None),
-                              (broken_diagonal, None)):
-        assert assert_recovery_matches_reference(monkeypatch, SignMatrix(entries), g)[0] == expected
-    for matrix, group in random_rg_matrices():
-        assert assert_recovery_matches_reference(monkeypatch, matrix, group)[0] is not None
+    for entries, expected, nodes in ((EQ1, (0, 1, 2, 3), 3), (BLOCKED, (0, 2, 1, 3), 4),
+                                     (broken, None, 4), (broken_diagonal, None, 4)):
+        found = recovered_within(monkeypatch, SignMatrix(entries), g, nodes)
+        assert (None if found is None else found.perm) == expected
+        assert_reference_verdict(SignMatrix(entries), g, found)
+    for (matrix, group), nodes in zip(random_rg_matrices(), RANDOM_RG_NODES, strict=True):
+        found = recovered_within(monkeypatch, matrix, group, nodes)
+        assert found is not None
+        assert_reference_verdict(matrix, group, found)
 
 
 def test_recover_listing_matches_reference_on_integer_matrices(monkeypatch):
     # mostly zero coefficients: a coefficient learned as 0 is known, so the
     # mark for an unknown one must not be an integer the matrix can hold
     rng = np.random.default_rng(29)
+    pinned = iter(INTEGER_RG_NODES)
     for g in (cyclic_group(8), direct_product(cyclic_group(2), cyclic_group(4)), quaternion_group()):
         for _ in range(5):
             w = GroupRingElement(g, rng.choice([0, 0, 0, 1, -2], g.order))
             hidden = Listing(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)]))
             matrix = rg_matrix(w, hidden)
-            perm, _ = assert_recovery_matches_reference(monkeypatch, matrix, g)
-            assert perm is not None
-            assert is_rg_matrix(matrix, g, Listing(g, perm))
+            found = recovered_within(monkeypatch, matrix, g, next(pinned))
+            assert found is not None
+            assert_reference_verdict(matrix, g, found)
+    assert next(pinned, None) is None
 
 
-@pytest.mark.parametrize("name, nodes, found", [
-    ("c16", 26_719, False), ("c2xc8", 5_587, True), ("q8c2", 42_613, True),
-])
-def test_recover_listing_explores_a_fixed_number_of_nodes(monkeypatch, name, nodes, found):
-    # recovery explores exactly this many nodes and returns the reference's listing
+def test_recover_listing_over_many_values_and_a_value_off_row_zero():
+    # 300 distinct coefficients need 16-bit codes; an entry that row 0 does
+    # not hold cannot be a coefficient, so no listing exists
+    rng = np.random.default_rng(37)
+    g = cyclic_group(300)
+    w = GroupRingElement(g, 7 * rng.permutation(300) - 1000)
+    hidden = Listing(g, np.concatenate([[0], 1 + rng.permutation(299)]))
+    matrix = rg_matrix(w, hidden)
+    found = recover_listing(matrix, g)
+    assert found is not None
+    assert is_rg_matrix(matrix, g, found)
+    # in place of an entry holding the smallest coefficient, which a code of
+    # 0 for every unmatched entry would silently restore
+    r, c = np.argwhere(matrix[1:] == matrix.min())[0]
+    matrix[1 + r, c] = 10**6
+    assert recover_listing(matrix, g) is None
+
+
+# The listings that the README gives; the C16 search finds none.
+README_LISTINGS = {
+    "c2xc8": (0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15),
+    "q8c2": (0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15),
+}
+
+
+@pytest.mark.parametrize("name, nodes", [("c16", 307), ("c2xc8", 27), ("q8c2", 78)])
+def test_recover_listing_explores_a_fixed_number_of_nodes(monkeypatch, name, nodes):
     if name == "c16":
         matrix, group = c2c8_matrix().matrix, cyclic_group(16)
     else:
         construction = c2c8_matrix() if name == "c2xc8" else quaternion_c2_matrix()
         matrix, group = construction.matrix, construction.group
-    perm, explored = assert_recovery_matches_reference(monkeypatch, matrix, group)
-    assert explored == nodes
-    assert (perm is not None) == found
-    if found:
-        first = {"c2xc8": (0, 8, 1, 9, 2, 10, 3, 11), "q8c2": (0, 2, 4, 6, 8, 10, 12, 14)}
-        assert perm[:8] == first[name]
-        assert is_rg_matrix(matrix, group, Listing(group, perm))
+    found = recovered_within(monkeypatch, matrix, group, nodes)
+    assert_reference_verdict(matrix, group, found)
+    assert (None if found is None else found.perm) == README_LISTINGS.get(name)
+
+
+def broken_rg_matrices(name, rng):
+    # RG-matrices over the group with one entry flipped or two rows swapped:
+    # three of random +-1 elements under hidden listings, and the group's
+    # 16x16 Hadamard construction where there is one
+    g = group_by_name(name)
+    bases = []
+    for _ in range(3):
+        w = GroupRingElement.from_signs(g, rng.choice([1, -1], g.order))
+        hidden = Listing(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)]))
+        bases.append(rg_sign_matrix(w, hidden).entries)
+    construction = {"C2xC8": c2c8_matrix, "Q8xC2": quaternion_c2_matrix}.get(name)
+    if construction is not None:
+        bases.append(construction().matrix.entries)
+    for entries in bases:
+        flipped = entries.copy()
+        r, c = rng.integers(g.order, size=2)
+        flipped[r, c] = -flipped[r, c]
+        swapped = entries.copy()
+        r, s = rng.choice(g.order, 2, replace=False)
+        swapped[[r, s]] = swapped[[s, r]]
+        yield SignMatrix(flipped), g
+        yield SignMatrix(swapped), g
+
+
+@pytest.mark.parametrize("name", ["C8", "C2xC4", "C2xC2xC2", "Q8", "C16", "C2xC8", "Q8xC2"])
+def test_recover_listing_matches_reference_on_broken_rg_matrices(name):
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for matrix, g in broken_rg_matrices(name, rng):
+        found = recover_listing(matrix, g)
+        assert_reference_verdict(matrix, g, found)
+        verdicts.append(found is not None)
+    assert not all(verdicts)
+
+
+def group_names(limit):
+    # one spec per multiset of factors C2..C<limit> and Q8 with order <= limit
+    factors = [("Q8", 8)] + [(f"C{k}", k) for k in range(2, limit + 1)]
+
+    def extend(start, order):
+        for i in range(start, len(factors)):
+            name, k = factors[i]
+            if order * k <= limit:
+                yield [name]
+                for rest in extend(i, order * k):
+                    yield [name, *rest]
+
+    return ["C1"] + ["x".join(spec) for spec in extend(0, 1)]
+
+
+def test_placement_order_runs_along_a_subgroup_chain():
+    names = group_names(64)
+    assert {"C64", "Q8xC8", "Q8xQ8", "C2xC2xC2xC2xC2xC2", "C4xC16"} <= set(names)
+    for name in names:
+        g = group_by_name(name)
+        order = placement_order(g)
+        assert order[0] == 0
+        assert sorted(order) == list(range(g.order)), name
+        if name.startswith("C") and "x" not in name:
+            assert order == list(range(g.order))
+        orders = g.element_orders()
+        generators = []
+        for i in range(1, g.order):
+            listed = order[:i]
+            products = g.mul_table[np.ix_(listed, listed)]
+            if np.isin(products, listed).all():
+                # the elements so far are a subgroup, so a generator comes next:
+                # the largest order outside it, lowest index on a tie
+                outside = sorted(set(range(g.order)) - set(listed))
+                assert order[i] == max(outside, key=lambda a: (orders[a], -a)), name
+                generators.append(order[i])
+            else:
+                assert order[i] in g.mul_table[np.ix_(listed, generators)], name
 
 
 def test_sign_matrix_validation():

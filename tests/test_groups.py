@@ -3,6 +3,7 @@ import pytest
 
 from circhad import (
     CapacityError,
+    Group,
     Listing,
     cyclic_group,
     direct_product,
@@ -76,6 +77,17 @@ def test_c2_c8_product_element_orders():
         acc = g.mul(acc, x)
         k += 1
     assert k == 8
+
+
+def test_element_orders_match_element_order():
+    for name in ("C1", "C12", "C2xC8", "Q8xC2", "C2xC2xC2xC2", "Q8xC4xC2"):
+        g = group_by_name(name)
+        assert g.element_orders().tolist() == [g.element_order(a) for a in range(g.order)]
+    # a Latin square in which the powers of 1 cycle through 1, 2 and never reach 0
+    bad = Group("bad", [[0, 1, 2], [1, 2, 1], [2, 1, 2]], inv_table=[0, 0, 0])
+    for orders in (bad.element_orders, lambda: bad.element_order(1)):
+        with pytest.raises(ValueError, match="not a group"):
+            orders()
 
 
 def test_quaternion_defining_relations():
