@@ -48,6 +48,11 @@ def _print(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _emit(fmt: str, payload: dict, lines: list[str]) -> None:
+    """Print `payload` as sorted, indented JSON when `fmt` is json, else `lines` as text."""
+    _print(json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else "\n".join(lines))
+
+
 def _header_listing(doc: MatrixDocument, matrix, group) -> Listing | None:
     """The document's own listing, if declared for `group` and making the matrix an RG-matrix."""
     if doc.listing is None or doc.group != group.name:
@@ -94,19 +99,12 @@ def _cmd_verify(args) -> int:
                         "listing": list(found.perm),
                     }
 
-    if args.format == "json":
-        payload = report_payload(report)
-        if rg_info is not None:
-            payload["rg"] = rg_info
-        _print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        lines = report_text(report)
-        if rg_info is not None:
-            if rg_info["rg_matrix"]:
-                lines.append(f"rg-matrix over {rg_info['group']}: true (listing: {rg_info['listing']})")
-            else:
-                lines.append(f"rg-matrix over {rg_info['group']}: false")
-        _print("\n".join(lines))
+    payload, lines = report_payload(report), report_text(report)
+    if rg_info is not None:
+        payload["rg"] = rg_info
+        verdict = f"true (listing: {rg_info['listing']})" if rg_info["rg_matrix"] else "false"
+        lines.append(f"rg-matrix over {rg_info['group']}: {verdict}")
+    _emit(args.format, payload, lines)
     verified = report.is_hadamard and (rg_info is None or rg_info["rg_matrix"])
     return 0 if verified else 1
 
@@ -136,19 +134,15 @@ def _cmd_analyze(args) -> int:
     system = block_system(row, layout=args.layout)
     conditions = conditions_report(system)
     matches = {kind: matching_report(system, kind) for kind in ("even", "odd")}
-    if args.format == "json":
-        payload = {
-            "report": "analyze",
-            "conditions": report_payload(conditions),
-            "matching": {kind: report_payload(rep) for kind, rep in matches.items()},
-        }
-        _print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        lines = report_text(conditions)
-        for kind in ("even", "odd"):
-            lines.append("")
-            lines.extend(report_text(matches[kind]))
-        _print("\n".join(lines))
+    payload = {
+        "report": "analyze",
+        "conditions": report_payload(conditions),
+        "matching": {kind: report_payload(rep) for kind, rep in matches.items()},
+    }
+    lines = report_text(conditions)
+    for rep in matches.values():
+        lines += ["", *report_text(rep)]
+    _emit(args.format, payload, lines)
     ok = conditions.all_ok and all(rep.perfect_matching_found for rep in matches.values())
     return 0 if ok else 1
 
@@ -181,19 +175,10 @@ def _cmd_recover(args) -> int:
         )
     matrix = doc.to_sign_matrix()
     listing = _header_listing(doc, matrix, group) or recover_listing(matrix, group)
-    if args.format == "json":
-        payload = {
-            "report": "recover",
-            "group": group.name,
-            "found": listing is not None,
-            "listing": list(listing.perm) if listing else None,
-        }
-        _print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        if listing is None:
-            _print(f"listing over {group.name}: not-found")
-        else:
-            _print(f"listing over {group.name}: " + ",".join(str(p) for p in listing.perm))
+    perm = None if listing is None else list(listing.perm)
+    payload = {"report": "recover", "group": group.name, "found": perm is not None, "listing": perm}
+    text = "not-found" if perm is None else ",".join(map(str, perm))
+    _emit(args.format, payload, [f"listing over {group.name}: {text}"])
     return 0 if listing is not None else 1
 
 

@@ -14,8 +14,9 @@ count and partition depth: the pruning bound is monotone along prefixes.
 
 The inner scan runs on a vectorised numpy kernel; its pure-Python twin in
 `_pykernel` is the readable reference that the tests hold it to.
-`KERNEL_BACKEND` names the kernel in use. The kernel is not trusted alone:
-every found row is re-verified with the gram oracle.
+`KERNEL_BACKEND` names the kernel in use. Kernels only enumerate; this module
+alone asks the gram oracle, which judges the rows a kernel sampled for the
+cross-check and re-verifies every found row.
 
 The pending partitions go to the kernel's `scan_partitions` as one batched
 frontier, held node-minor and split into halves of at most
@@ -262,17 +263,16 @@ def _checkpoint_line(prefix: int, outcome: _PartitionOutcome) -> str:
 
 
 def _scan(prefixes: list[int], scan: tuple):
-    """(prefix, outcome) for each of the sorted prefixes, in order, from one batched kernel scan."""
+    """(prefix, outcome) for each of the sorted prefixes, in order, from one batched kernel scan;
+    a mismatch is a sampled row whose gram verdict differs from its membership in the found rows."""
     m, depth, *filters = scan
-    for prefix, reached, found_masks, crosschecked, mismatches in _kernel.scan_partitions(
-        m, prefixes, depth, *filters
-    ):
-        yield prefix, _PartitionOutcome(
-            reached=int(reached),
-            found_masks=sorted(int(x) for x in found_masks),
-            crosschecked=int(crosschecked),
-            mismatches=int(mismatches),
-        )
+    for prefix, reached, found_masks, sampled in _kernel.scan_partitions(m, prefixes, depth, *filters):
+        found_masks = sorted(int(x) for x in found_masks)
+        mismatches = 0
+        if len(sampled):
+            flat = np.isin(sampled, np.array(found_masks, dtype=np.uint64))
+            mismatches = int(np.count_nonzero(_pykernel.gram_hadamard_batch(sampled, m) != flat))
+        yield prefix, _PartitionOutcome(int(reached), found_masks, len(sampled), mismatches)
 
 
 def _send_share(share: list[int], scan: tuple, fd: int) -> None:

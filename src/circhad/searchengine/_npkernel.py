@@ -40,6 +40,7 @@ FRONTIER_CAP = 4096
 _HASH_MULT = np.uint64(_pykernel._HASH_MULT)
 _SIGN = np.array([1, -1], dtype=np.int8)  # sign of an entry, indexed by its bit
 _BOTH_BITS = np.array([0, 1], dtype=np.uint8)
+_NO_MASKS = np.empty(0, dtype=np.uint64)
 
 
 def scan_subtree(
@@ -84,8 +85,8 @@ def scan_partitions(
 ):
     """Scan the subtrees under each of the sorted `prefixes` at `depth`.
 
-    Yields (prefix, reached, found_masks, crosschecked, mismatches) for every
-    prefix, in order; each tuple after the prefix is `scan_subtree`'s result.
+    Yields (prefix, reached, found_masks, sampled_masks) for every prefix, in
+    order; each tuple after the prefix is `_pykernel.scan_subtree`'s result.
     """
     half = m // 2
     nshift = half
@@ -152,9 +153,8 @@ def scan_partitions(
     # leaves from starts[i] up to starts[i + 1] belong to prefixes[i]
     starts = np.array([prefix << (m - depth) for prefix in prefixes], dtype=np.uint64)
     reached = np.zeros(count, dtype=np.int64)
-    crosschecked = np.zeros(count, dtype=np.int64)
-    mismatches = np.zeros(count, dtype=np.int64)
     found: list[list[int]] = [[] for _ in range(count)]
+    sampled: dict[int, list[np.ndarray]] = {}  # unyielded partitions' sampled masks, in chunks
 
     # The fixed prefixes are installed without prune checks, as in _pykernel.
     # Partial sums and counts never exceed m <= 64 in size, so int8 holds them.
@@ -205,11 +205,12 @@ def scan_partitions(
                 found[i].append(mask)
             if cc_threshold:
                 picked = (masks * _HASH_MULT) >> np.uint64(32) < np.uint64(cc_threshold)
-                verdicts = _pykernel.gram_hadamard_batch(masks[picked], m)
-                credit(crosschecked, part[picked])
-                is_flat = np.zeros(len(masks), dtype=bool)
-                is_flat[flat] = True
-                credit(mismatches, part[picked][verdicts != is_flat[picked]])
+                # where each partition's run starts; np.unique in place of np.diff raised
+                # the peak RSS of the matrices benchmark by about 0.25 MB (BENCH_13.json)
+                owner = part[picked]
+                firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+                for i, chunk in zip(owner[firsts].tolist(), np.split(masks[picked], firsts[1:])):
+                    sampled.setdefault(i, []).append(chunk)
         if pending:
             top_k, top = pending[-1]
             lowest = np.uint64(int(top[0][0]) << (m - top_k))
@@ -217,5 +218,5 @@ def scan_partitions(
         else:
             bound = count
         for i in range(done, bound):
-            yield prefixes[i], int(reached[i]), found[i], int(crosschecked[i]), int(mismatches[i])
+            yield prefixes[i], int(reached[i]), found[i], np.concatenate(sampled.pop(i, [_NO_MASKS]))
         done = bound

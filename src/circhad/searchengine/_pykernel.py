@@ -37,12 +37,13 @@ def scan_subtree(
 ):
     """Enumerate the masks under (prefix, depth).
 
-    Returns (reached, found_masks, crosschecked, mismatches):
-      reached      rows passing the enabled row_sum/balance filters and not
-                   removed by the (enabled) incremental autocorrelation bound
-      found_masks  masks among those whose full autocorrelation is flat
-      crosschecked rows sampled for the gram cross-check
-      mismatches   gram verdicts disagreeing with the flat-autocorrelation one
+    Returns (reached, found_masks, sampled_masks):
+      reached       rows passing the enabled row_sum/balance filters and not
+                    removed by the (enabled) incremental autocorrelation bound
+      found_masks   masks among those whose full autocorrelation is flat
+      sampled_masks uint64 array of the reached masks that `crosscheck_selected`
+                    picks, in ascending order; the search engine, not the
+                    kernel, compares their gram verdicts with `found_masks`
     """
     half = m // 2
     nshift = half
@@ -126,16 +127,7 @@ def scan_subtree(
         leaf(prefix, negs, evens, odds)
     else:
         descend(depth, prefix, negs, evens, odds)
-
-    crosschecked = len(cc_masks)
-    mismatches = 0
-    if crosschecked:
-        flat_set = set(found)
-        verdicts = gram_hadamard_batch(np.array(cc_masks, dtype=np.uint64), m)
-        for mask, gram_ok in zip(cc_masks, verdicts):
-            if bool(gram_ok) != (mask in flat_set):
-                mismatches += 1
-    return reached, found, crosschecked, mismatches
+    return reached, found, np.array(cc_masks, dtype=np.uint64)
 
 
 def scan_partitions(

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -8,6 +9,7 @@ import time
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circhad
@@ -109,6 +111,22 @@ def test_checkpoint_bytes_do_not_depend_on_workers(tmp_path, capsys, order):
         search_output(partitioned_search(order, workers) + [str(path)], capsys)
         files.append(path.read_bytes())
     assert files[1] == files[0] and files[2] == files[0]
+
+
+@pytest.mark.parametrize(
+    "argv, checked, digest",
+    [
+        (["--order", "12", "--no-filter", "row_sum", "--crosscheck", "0.5", "--partition-depth", "3"],
+         81, "39dbb879abdac1ca0adb02b5df51036f9ec8f9ad4915c7cec2c13ab484c17c29"),
+        (["--order", "16", "--crosscheck", "1.0", "--partition-depth", "4"],
+         898, "105f79d0b602d55891935e0a2a7bd6f8d53d5f10531d5064b130b39b4a8e98e3"),
+    ],
+)
+def test_crosschecked_checkpoint_bytes_are_pinned(tmp_path, capsys, argv, checked, digest):
+    path = tmp_path / "pinned.ckpt"
+    assert main(["search", *argv, "--workers", "2", "--format", "json", "--checkpoint", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["crosscheck"] == {"checked": checked, "mismatches": 0}
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("order", ["4", "16"])
@@ -265,9 +283,22 @@ def test_bad_header_listing_falls_back_to_recovery(tmp_path, capsys):
     assert payload["rg"] == {"group": "C4", "rg_matrix": True, "listing": [0, 1, 3, 2]}
 
 
+NO_MASKS = np.empty(0, dtype=np.uint64)
+
+
 def claims_a_bad_row(m, prefixes, *args):
     for prefix in prefixes:
-        yield prefix, 1, [0b1], 0, 0  # +...+- is not flat, so the gram oracle rejects it
+        yield prefix, 1, [0b1], NO_MASKS  # +...+- is not flat, so the gram oracle rejects it
+
+
+def hides_a_sampled_flat_row(m, prefixes, *args):
+    for prefix in prefixes:
+        yield prefix, 1, [], np.array([0b0001], dtype=np.uint64)  # +++- is flat at order 4
+
+
+def miscounts_reached(m, prefixes, *args):
+    for prefix, reached, *rest in _npkernel.scan_partitions(m, prefixes, *args):
+        yield prefix, reached + 1, *rest
 
 
 def raises(m, prefixes, *args):
@@ -281,6 +312,22 @@ def test_internal_fault_exit_four(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: ")
     assert err.count("\n") == 1
+
+
+def test_sampled_row_missing_from_the_found_rows_exits_four(monkeypatch, capsys):
+    faulty = types.SimpleNamespace(BACKEND="faulty", scan_partitions=hides_a_sampled_flat_row)
+    monkeypatch.setattr(engine, "_kernel", faulty)
+    assert main(["search", "--order", "4", "--crosscheck", "1.0"]) == 4
+    assert capsys.readouterr().err == ("internal error: RuntimeError: gram cross-check disagreed "
+                                       "with the autocorrelation verdict on 1 rows\n")
+
+
+def test_reached_count_off_the_closed_form_exits_four(monkeypatch, capsys):
+    faulty = types.SimpleNamespace(BACKEND="faulty", scan_partitions=miscounts_reached)
+    monkeypatch.setattr(engine, "_kernel", faulty)
+    assert main(["search", "--order", "16", "--no-filter", "paf_prefix"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: stage accounting mismatch: enumerated ")
 
 
 def test_capacity_rule_without_the_row_sum_filter(monkeypatch, capsys):

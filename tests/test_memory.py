@@ -61,4 +61,4 @@ def test_construct_1024_peak(tmp_path):
 def test_crosscheck_search_peak(capsys):
     peak = traced_peak(CROSSCHECK_16)
     assert '"mismatches": 0' in capsys.readouterr().out
-    assert peak < 6 * MB, f"crosscheck search peaked at {peak / MB:.1f} MB"
+    assert peak < 4.5 * MB, f"crosscheck search peaked at {peak / MB:.1f} MB"

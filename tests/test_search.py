@@ -23,6 +23,21 @@ def kernel(request, monkeypatch):
     return request.param
 
 
+def listed(result):
+    """A kernel result tuple with its sampled-mask array as a list, so `==` checks every field."""
+    return tuple(field.tolist() if isinstance(field, np.ndarray) else field for field in result)
+
+
+def scanned(module, m, prefixes, depth, *filters):
+    """`module.scan_partitions` as a list of `listed` tuples."""
+    return [listed(entry) for entry in module.scan_partitions(m, prefixes, depth, *filters)]
+
+
+def subtree_scans(m, prefixes, depth, *filters):
+    """The reference: `_pykernel.scan_subtree` of each prefix, as `scan_partitions` would yield it."""
+    return [listed((p, *_pykernel.scan_subtree(m, p, depth, *filters))) for p in prefixes]
+
+
 def gram_oracle_rows(m):
     # independent sweep: every row whose circulant satisfies M M^T = mI
     eye = m * np.eye(m, dtype=np.int64)
@@ -117,7 +132,8 @@ def test_kernels_agree(m, row_sum, balance, paf_prefix):
         for prefix in sorted(prefixes):
             for threshold in (0, 1 << 31, 1 << 32):
                 args = (m, prefix, depth, row_sum, adm_mask, balance, paf_prefix, threshold)
-                assert _npkernel.scan_subtree(*args) == _pykernel.scan_subtree(*args), args
+                got = listed(_npkernel.scan_subtree(*args))
+                assert got == listed(_pykernel.scan_subtree(*args)), args
 
 
 def partition_lists(reference):
@@ -140,12 +156,12 @@ def test_scan_partitions_matches_per_prefix_scans(m, row_sum, balance, paf_prefi
     thresholds = {12: (1 << 31,), 16: (0,)}.get(m, (0, 1 << 31))
     for depth, threshold in itertools.product(depths, thresholds):
         filters = (row_sum, adm_mask, balance, paf_prefix, threshold)
-        reference = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in range(1 << depth)]
+        reference = subtree_scans(m, range(1 << depth), depth, *filters)
         by_prefix = {entry[0]: entry for entry in reference}
         for name, prefixes in partition_lists(reference).items():
             expected = [by_prefix[p] for p in prefixes]
             for module in KERNELS if name != "all" else [_npkernel]:
-                got = list(module.scan_partitions(m, prefixes, depth, *filters))
+                got = scanned(module, m, prefixes, depth, *filters)
                 assert got == expected, (module.BACKEND, name, depth, filters)
 
 
@@ -157,10 +173,10 @@ def test_scan_partitions_in_order_through_small_frontiers(monkeypatch, cap):
     _, adm_mask = engine._admissible_mask(m)
     for filters in ((False, adm_mask, False, False, 1 << 31), (True, adm_mask, True, True, 1 << 31),
                     (False, adm_mask, True, True, 0)):
-        reference = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in range(1 << depth)]
+        reference = subtree_scans(m, range(1 << depth), depth, *filters)
         for prefixes in partition_lists(reference).values():
             expected = [entry for entry in reference if entry[0] in prefixes]
-            assert list(_npkernel.scan_partitions(m, prefixes, depth, *filters)) == expected
+            assert scanned(_npkernel, m, prefixes, depth, *filters) == expected
 
 
 @pytest.mark.parametrize(
@@ -182,10 +198,10 @@ def test_kernels_agree_on_deep_subtrees_of_large_orders(m, depth, prefixes):
         # frontier at its first level; the other filters also run without it
         filter_sets.append((False, adm_mask, True, True, 1 << 31))
     for filters in filter_sets:
-        expected = [(p, *_pykernel.scan_subtree(m, p, depth, *filters)) for p in sorted(prefixes)]
-        assert list(_npkernel.scan_partitions(m, sorted(prefixes), depth, *filters)) == expected
+        expected = subtree_scans(m, sorted(prefixes), depth, *filters)
+        assert scanned(_npkernel, m, sorted(prefixes), depth, *filters) == expected
         for entry in expected:
-            assert _npkernel.scan_subtree(m, entry[0], depth, *filters) == entry[1:]
+            assert listed(_npkernel.scan_subtree(m, entry[0], depth, *filters)) == entry[1:]
     assert sum(entry[1] for entry in expected) > 0
 
 
@@ -218,8 +234,8 @@ def test_leaf_signs_and_flatness_match_the_python_paf(m):
         for prefix in prefixes:
             leaves = [prefix << (m - depth) | low for low in range(1 << (m - depth))]
             found = [leaf for leaf in leaves if paf_is_flat(leaf, m)]
-            expected.append((prefix, len(leaves), found, len(leaves), 0))
-        assert list(_npkernel.scan_partitions(m, prefixes, depth, False, 0, False, False, 1 << 32)) == expected
+            expected.append((prefix, len(leaves), found, leaves))
+        assert scanned(_npkernel, m, prefixes, depth, False, 0, False, False, 1 << 32) == expected
 
 
 def test_order_limit_is_the_mask_width(capsys):
@@ -277,6 +293,45 @@ def test_crosscheck_runs_and_agrees(kernel):
     sampled = search(SearchConfig(order=12, row_sum=False, crosscheck_fraction=0.5))
     assert 0 < sampled.crosscheck["checked"] < full.crosscheck["checked"]
     assert sampled.crosscheck["mismatches"] == 0
+
+
+def reached_leaves(m, prefix, depth, row_sum, adm_mask, balance, paf_prefix):
+    """Brute force: the masks under the prefix that pass every enabled filter at every entry."""
+    leaves = []
+    for mask in range(prefix << (m - depth), (prefix + 1) << (m - depth)):
+        row = mask_to_signs(mask, m).tolist()
+        if row_sum and not (adm_mask >> row.count(-1)) & 1:
+            continue
+        if balance and m % 4 == 0 and sum(row[i] == row[i + m // 2] for i in range(m // 2)) != m // 4:
+            continue
+        # after entry k, shift s has settled k+1-s of its m products
+        if paf_prefix and any(abs(sum(row[j - s] * row[j] for j in range(s, k + 1))) > m - (k + 1 - s)
+                              for k in range(m) for s in range(1, min(k, m // 2) + 1)):
+            continue
+        leaves.append(mask)
+    return leaves
+
+
+def test_kernels_sample_without_asking_the_oracle(monkeypatch):
+    def oracle(masks, m):
+        raise AssertionError("a kernel asked the gram oracle")
+
+    monkeypatch.setattr(_pykernel, "gram_hadamard_batch", oracle)
+    # order 16 admits a row sum, and the partitions of one batch end at every level
+    m, depth = 16, 10
+    _, adm_mask = engine._admissible_mask(m)
+    prefixes = list(range(0, 1 << depth, 29))
+    total = 0
+    for row_sum, balance, paf_prefix in itertools.product([False, True], repeat=3):
+        filters = (row_sum, adm_mask, balance, paf_prefix)
+        for module in KERNELS:
+            scan = module.scan_partitions(m, prefixes, depth, *filters, 1 << 32)
+            for prefix, reached, found, sampled in scan:
+                assert sampled.dtype == np.uint64
+                assert sampled.tolist() == reached_leaves(m, prefix, depth, *filters), module.BACKEND
+                assert reached == len(sampled) and set(found) <= set(sampled.tolist())
+                total += reached
+    assert total > 0
 
 
 def test_capacity_rules():
