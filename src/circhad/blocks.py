@@ -170,20 +170,29 @@ class ConditionsReport:
         return self.balance_ok and all(self.parity_ok.values())
 
 
+def _difference_classes(system: BlockSystem, kind: str) -> dict[int, list[tuple[Pair, int]]]:
+    """Ordered same-kind pairs with their signs, by difference, each class in lexicographic order."""
+    positions = system.kind_positions(kind)
+    signs = [system.blocks[i].sign for i in positions]
+    m2 = system.block_count
+    classes: dict[int, list[tuple[Pair, int]]] = {}
+    for i, si in zip(positions, signs):
+        for j, sj in zip(positions, signs):
+            if i != j:
+                sign = -si * sj if kind == "odd" and i > j else si * sj  # as in pair_info
+                classes.setdefault((j - i) % m2, []).append(((i, j), sign))
+    return dict(sorted(classes.items()))
+
+
 def conditions_report(system: BlockSystem) -> ConditionsReport:
     """Balance, difference-parity and symmetry conditions of a block system."""
     evens = system.kind_positions("even")
     odds = system.kind_positions("odd")
     differences: dict[str, dict[int, int]] = {}
     parity_ok: dict[str, bool] = {}
-    for kind, positions in (("even", evens), ("odd", odds)):
-        counts: dict[int, int] = {}
-        for i in positions:
-            for j in positions:
-                if i != j:
-                    d = pair_info(system, i, j).difference
-                    counts[d] = counts.get(d, 0) + 1
-        differences[kind] = dict(sorted(counts.items()))
+    for kind in ("even", "odd"):
+        counts = {d: len(members) for d, members in _difference_classes(system, kind).items()}
+        differences[kind] = counts
         parity_ok[kind] = all(c % 2 == 0 for c in counts.values())
     partners = [system.partner(i) for i in range(system.block_count)]
     all_symmetric = {
@@ -215,82 +224,52 @@ def matching_report(system: BlockSystem, kind: str) -> MatchReport:
 
     Two pairs match when they have equal difference and opposite sign, and
     matching (i,j) with (k,l) forces the conjugates (j,i) and (l,k) onto each
-    other. Matches never leave a difference class, and conjugation links class d
-    with class 2n-d, so the search backtracks inside each class (with a memo of
-    failed states) and mirrors the result onto the conjugate class.
+    other. Matches never leave a difference class, and conjugation maps class d
+    onto class 2n-d, so each class d <= n is decided alone and, for d < n,
+    mirrored onto class 2n-d. Inside a class any +1 pair matches any -1 pair,
+    so the class matches exactly when it holds as many +1 pairs as -1 pairs.
+    At d = n a pair's conjugate is in the same class: for even blocks it has
+    the same sign, so couples {p, p'} match couples of the other sign and the
+    same count decides; for odd blocks it has the opposite sign, the count
+    always balances and each pair may match its own conjugate.
+
+    A class that matches is built in one pass: take the smallest unused pair p
+    and the smallest unused pair q of opposite sign, and at d = n also couple
+    their conjugates when q is not p's own. What stays unused still balances
+    (and at d = n is closed under conjugation), so no choice has to be undone:
+    the matching is the first one an exhaustive backtracking in this order
+    would find. A class that does not balance is reported by its least pair.
+    Time is linear in the number of pairs.
     """
     if kind not in ("even", "odd"):
         raise ValueError(f"unknown block kind {kind!r}")
-    positions = system.kind_positions(kind)
-    m2 = system.block_count
-    half = m2 // 2
-    classes: dict[int, list[Pair]] = {}
-    for i in positions:
-        for j in positions:
-            if i != j:
-                classes.setdefault((j - i) % m2, []).append((i, j))
-
-    def pair_sign(p: Pair) -> int:
-        return pair_info(system, p[0], p[1]).sign
-
-    def conjugate(p: Pair) -> Pair:
-        return (p[1], p[0])
-
     matching: list[tuple[Pair, Pair]] = []
-    for d in sorted(classes):
-        if d > half:
-            continue  # handled as the mirror of class 2n-d
-        members = sorted(classes[d])
-        couple_within = d * 2 == m2
-        found = _match_class(members, pair_sign, conjugate, couple_within)
-        if found is None:
+    for d, members in _difference_classes(system, kind).items():
+        if d > system.n:
+            break  # handled as the mirror of class 2n-d
+        if sum(sign for _, sign in members) != 0:
             return MatchReport(
                 kind=kind,
                 perfect_matching_found=False,
                 matching=[],
-                failure_certificate=members[0],
+                failure_certificate=members[0][0],
             )
-        matching.extend(found)
-        if not couple_within:
-            matching.extend((conjugate(p), conjugate(q)) for p, q in found)
-    return MatchReport(kind=kind, perfect_matching_found=True, matching=matching)
-
-
-def _match_class(members, pair_sign, conjugate, couple_within):
-    """Exact backtracking perfect matching on one difference class.
-
-    Elements may be matched when their signs are opposite. When the class is its
-    own conjugate (difference n), matching p with q also consumes the conjugates.
-    """
-    failed: set[frozenset] = set()
-
-    def backtrack(remaining: frozenset):
-        if not remaining:
-            return []
-        if remaining in failed:
-            return None
-        ordered = sorted(remaining)
-        p = ordered[0]
-        sp = pair_sign(p)
-        for q in ordered[1:]:
-            if pair_sign(q) != -sp:
+        by_sign = {s: iter([p for p, sign in members if sign == s]) for s in (1, -1)}
+        used: set[Pair] = set()
+        found = []
+        for p, sign in members:
+            if p in used:
                 continue
-            consumed = {p, q}
-            forced = []
-            if couple_within:
-                cp, cq = conjugate(p), conjugate(q)
-                if {cp, cq} != consumed:
-                    if cp not in remaining or cq not in remaining or cp in consumed or cq in consumed:
-                        continue
-                    consumed |= {cp, cq}
-                    forced = [(cp, cq)]
-            result = backtrack(remaining - frozenset(consumed))
-            if result is not None:
-                return [(p, q)] + forced + result
-        failed.add(remaining)
-        return None
-
-    return backtrack(frozenset(members))
+            q = next(q for q in by_sign[-sign] if q not in used)
+            found.append((p, q))
+            used.update((p, q))
+            if d == system.n and p[::-1] != q:
+                found.append((p[::-1], q[::-1]))
+                used.update(found[-1])
+        matching.extend(found)
+        if d < system.n:
+            matching.extend((p[::-1], q[::-1]) for p, q in found)
+    return MatchReport(kind=kind, perfect_matching_found=True, matching=matching)
 
 
 @dataclass

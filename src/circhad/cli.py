@@ -19,7 +19,7 @@ import numpy as np
 from .blocks import block_system, conditions_report, matching_report
 from .constructions import FAMILIES, kronecker_extend, with_recovered_listing
 from .errors import CapacityError, FormatError
-from .groups import Listing, group_by_name, is_cyclic_table, natural_listing, paired_listing
+from .groups import Group, Listing, group_by_name, is_cyclic_table, natural_listing, paired_listing
 from .groupring import is_rg_matrix, recover_listing
 from .hadamard import is_hadamard
 from .matrixio import (
@@ -63,6 +63,14 @@ def _header_listing(doc: MatrixDocument, matrix, group) -> Listing | None:
     return listing if is_rg_matrix(matrix, group, listing) else None
 
 
+def _group_of_order(name: str, n: int) -> Group:
+    """The named group, refused unless its order is the matrix size n."""
+    group = group_by_name(name)
+    if group.order != n:
+        raise FormatError(f"group {group.name} has order {group.order}, matrix is {n}x{n}")
+    return group
+
+
 def _cmd_verify(args) -> int:
     doc = parse_matrix_document(Path(args.file).read_text())
     matrix = doc.to_sign_matrix()
@@ -71,11 +79,7 @@ def _cmd_verify(args) -> int:
     rg_info = None
     group_name = args.group or doc.group
     if group_name:
-        group = group_by_name(group_name)
-        if group.order != matrix.size:
-            raise FormatError(
-                f"group {group.name} has order {group.order}, matrix is {matrix.size}x{matrix.size}"
-            )
+        group = _group_of_order(group_name, matrix.size)
         candidates: list[tuple[str, Listing]] = []
         if args.listing in ("natural", "auto"):
             candidates.append(("natural", natural_listing(group)))
@@ -168,11 +172,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_recover(args) -> int:
     doc = parse_matrix_document(Path(args.file).read_text())
-    group = group_by_name(args.group)
-    if group.order != doc.order:
-        raise FormatError(
-            f"group {group.name} has order {group.order}, matrix is {doc.order}x{doc.order}"
-        )
+    group = _group_of_order(args.group, doc.order)
     matrix = doc.to_sign_matrix()
     listing = _header_listing(doc, matrix, group) or recover_listing(matrix, group)
     perm = None if listing is None else list(listing.perm)
@@ -248,10 +248,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, KeyError, MemoryError) as exc:

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from circhad import (
     twist,
 )
 from circhad.blocks import BlockSystem
+from circhad.cli import main
 from sign_reference import mask_to_signs
 
 ALL_BLOCKS = [Block2(1, 1), Block2(-1, -1), Block2(1, -1), Block2(-1, 1)]
@@ -310,6 +315,68 @@ def test_matching_witness_pairs_are_valid():
             seen.add(q)
         positions = system.kind_positions("odd")
         assert len(seen) == len(positions) * (len(positions) - 1)
+
+
+def analyze_digest(rows, layout):
+    """sha256 over each row's `analyze --format json` stdout followed by its exit code."""
+    digest = hashlib.sha256()
+    for row in rows:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["analyze", f"--row={row}", "--layout", layout, "--format", "json"])
+        digest.update(f"{out.getvalue()}exit {code}\n".encode())
+    return digest.hexdigest()
+
+
+def sign_string(signs):
+    return "".join("+" if v > 0 else "-" for v in signs)
+
+
+def seeded_block_rows():
+    # 16 order-32 rows: half uniform, half with 8 even and 8 odd blocks in the paired layout
+    rng = np.random.default_rng(1)
+    blocks = 16
+    rows = []
+    for i in range(16):
+        if i % 2 == 0:
+            signs = rng.choice([1, -1], 32)
+        else:
+            odd = rng.permutation([0, 1] * (blocks // 2))
+            first = rng.choice([1, -1], blocks)
+            signs = np.stack([first, np.where(odd == 1, -first, first)], axis=1).ravel()
+        rows.append(sign_string(signs))
+    return rows
+
+
+# natural-layout rows in which one kind of at least four blocks matches
+# perfectly: the four even blocks of the first eight, the seven odd blocks of the last
+MATCHED_ROWS = [
+    "---+--------++-+++--+++-++-+--++",
+    "+--+++++----+-++-+---+--++-+----",
+    "++-++--++---+++--+---++----+---+",
+    "+---++++--+-+-+--++++--+++-+++--",
+    "--++-+-+++--++-+++++-+--+--+-+-+++-++-++--++--+----++-+--++-+-+-",
+    "++-+--+---++++++-+-+++-+++----++--+-++-+++-+---++-+---+---+-++-+",
+    "-+++-+-+++---+-+------++++-++++-+-----+---+++-++++++-+----+-----",
+    "---+-++--+-+++-------+--++++-+-++-+-+-+++-+---+++-+++--+----+-+-",
+    "--+-+---+++-+++++-----+--++--+-+",
+]
+
+
+ORDER8_ROWS = [sign_string(mask_to_signs(mask, 8)) for mask in range(1 << 8)]
+
+
+@pytest.mark.parametrize("rows, layout, digest", [
+    (ORDER8_ROWS, "natural",
+     "c7af61a154a73cb07d52de444ed3fff7b81fde34788cba737db617874ac95d28"),
+    (ORDER8_ROWS, "paired",
+     "fc03b346cd3ee90830ed0fb42efbc3f27e78e8db2c89e2af7db897830d195ed2"),
+    (seeded_block_rows(), "paired",
+     "427d65b0a61398196e6addda0e97dc76582416ec4714447a3c93af0e16c2c3dc"),
+    (MATCHED_ROWS, "natural",
+     "de648694dc54d9f83b8c34946a1084682941e622fe3383934cf8758b5020bac2"),
+], ids=["order8-natural", "order8-paired", "order32-seeded", "matched"])
+def test_analyze_output_is_pinned(rows, layout, digest):
+    assert analyze_digest(rows, layout) == digest
 
 
 def _symmetric_odd_system(odd_signs, even_signs=(1, 1, 1, 1)):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -14,7 +15,8 @@ import pytest
 
 import circhad
 import circhad.searchengine as engine
-from circhad import group_by_name, is_rg_matrix, parse_matrix_document
+from circhad import block_system, group_by_name, is_rg_matrix, matching_report, pair_info
+from circhad import parse_matrix_document
 from circhad.cli import _parse_row, main
 from circhad.groupring import RECOVERY_NODE_BUDGET
 from circhad.groups import Listing
@@ -63,6 +65,18 @@ def test_verify_bad_format_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("++\n+\n")
     assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{dir}"],
+    ["recover", "--file", "{dir}", "--group", "C4"],
+    ["search", "--order", "8", "--checkpoint", "{dir}"],
+    ["construct", "--family", "c4", "--out", "{dir}"],
+], ids=["verify", "recover", "search", "construct"])
+def test_directory_path_exits_two_with_one_error_line(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_search_order_8(capsys):
@@ -159,6 +173,51 @@ def test_analyze_paired_layout(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["conditions"]["even_count"] == 4
     assert payload["conditions"]["odd_count"] == 4
+
+
+def balanced_classes(system, kind):
+    """Whether every difference class d <= n holds as many + as - pairs, read off pair_info."""
+    totals = {}
+    for i, j in itertools.permutations(system.kind_positions(kind), 2):
+        info = pair_info(system, i, j)
+        if info.difference <= system.n:
+            totals[info.difference] = totals.get(info.difference, 0) + info.sign
+    return not any(totals.values())
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block after `seconds`, so a hang fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_analyze_of_an_order_256_row_finishes():
+    signs = np.where(np.random.default_rng(1).integers(0, 2, 256) == 0, 1, -1)
+    row = "".join("+" if v > 0 else "-" for v in signs)
+    env = {**os.environ, "PYTHONPATH": str(Path(circhad.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "circhad", "analyze", "--row", row, "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    system = block_system(signs)
+    for kind, report in json.loads(proc.stdout)["matching"].items():
+        assert report["perfect_matching_found"] == balanced_classes(system, kind)
+
+
+def test_matching_report_of_an_order_1024_row_finishes():
+    system = block_system(np.random.default_rng(2).choice([1, -1], 1024))
+    for kind in ("even", "odd"):
+        with deadline(10):
+            report = matching_report(system, kind)
+        assert report.perfect_matching_found == balanced_classes(system, kind)
 
 
 def test_analyze_rejects_garbage(capsys):
