@@ -36,8 +36,8 @@ class Block2:
 
     @property
     def sign(self) -> int:
-        # even: all-plus -> +1, all-minus -> -1; odd: (+,-) -> +1, (-,+) -> -1
-        return self.first if self.kind == "even" else (1 if self.first == 1 else -1)
+        # even blocks carry their shared sign; odd ones (+,-) -> +1 and (-,+) -> -1
+        return self.first
 
     @property
     def entries(self) -> np.ndarray:

@@ -5,12 +5,14 @@ found, conditions violated), 2 = usage or input format error, 3 = capacity or
 feasibility error, 4 = internal error (a fault of circhad itself, such as a
 kernel result the gram oracle rejects), 130 = interrupted (Ctrl-C); an
 interrupted search keeps its checkpoint, so the same command resumes it.
+141 = stdout closed by its reader (a pipe into `head`), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -152,6 +154,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.times < 0:
+        raise ValueError(f"--times must be 0 or more, got {args.times}")
     construction = FAMILIES[args.family]()
     if args.times > 0:
         construction = with_recovered_listing(construction)
@@ -244,7 +248,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; aim stdout at devnull so the interpreter's last flush
+        # cannot fail again, and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

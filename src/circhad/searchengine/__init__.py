@@ -10,7 +10,9 @@ Stage counts refer to the full 2^m row space. The row_sum and balance counts
 have exact closed forms and are computed without enumeration; the enumeration
 normally fixes row[0] = +1 and doubles its counts (global negation is a
 symmetry of every stage predicate). All counts are independent of worker
-count and partition depth: the pruning bound is monotone along prefixes.
+count and of partition depth, the full row included: the kernels prune every
+entry alike, inside a partition's prefix or below it, and the bounds are
+monotone along prefixes.
 
 The inner scan runs on a vectorised numpy kernel; its pure-Python twin in
 `_pykernel` is the readable reference that the tests hold it to.
@@ -376,9 +378,9 @@ def search(config: SearchConfig) -> SearchResult:
     if must_enumerate and m > KERNEL_ORDER_LIMIT:
         raise CapacityError(f"enumeration kernels support orders up to {KERNEL_ORDER_LIMIT}")
 
-    scale = 2 if config.fix_first and m >= 1 else 1
-    available_bits = m - 1 if config.fix_first else m
-    depth_extra = 1 if config.fix_first else 0
+    # a fixed row[0] = +1 is one more prefix bit for the kernel, which then scans half the rows
+    fixed = 1 if config.fix_first else 0
+    available_bits = m - fixed
     pdepth = _auto_partition_depth(available_bits, config)
     cc_threshold = min(1 << 32, round(config.crosscheck_fraction * (1 << 32)))
 
@@ -393,7 +395,7 @@ def search(config: SearchConfig) -> SearchResult:
         outcomes.update(_load_checkpoint(checkpoint, fingerprint, m, 1 << pdepth))
     if must_enumerate:
         todo = [p for p in range(1 << pdepth) if p not in outcomes]
-        scan = (m, pdepth + depth_extra, config.row_sum, adm_mask, config.balance,
+        scan = (m, pdepth + fixed, config.row_sum, adm_mask, config.balance,
                 config.paf_prefix, cc_threshold)
 
         def record(prefix: int, outcome: _PartitionOutcome) -> None:
@@ -411,7 +413,7 @@ def search(config: SearchConfig) -> SearchResult:
     t_enumeration = time.perf_counter() - t1
     t2 = time.perf_counter()
 
-    reached = sum(outcomes[p].reached for p in outcomes) * scale
+    reached = sum(o.reached for o in outcomes.values()) << fixed
     crosschecked = sum(o.crosschecked for o in outcomes.values())
     mismatches = sum(o.mismatches for o in outcomes.values())
     if mismatches:

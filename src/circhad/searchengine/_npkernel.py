@@ -16,9 +16,12 @@ rows that later levels read: the last m // 2 signs and the partial sums that
 have started. The first entries of a row are dropped once no shift reaches
 them; at a leaf they are rebuilt from the mask to close the wrapped shifts.
 
-`scan_partitions` scans many partitions as one batched frontier: every
-pending prefix is installed at once, and each leaf is credited to its
-partition by its top bits. A frontier larger than `FRONTIER_CAP` is split in
+`scan_partitions` scans many partitions as one batched frontier, grown from
+the empty row by the same step at every level. Inside the prefixes that step
+also drops the children on no pending prefix's path, so a prefix is entered one
+entry at a time and pruned like any other node; a prefix pruned inside itself
+has no leaves and is still yielded, with none reached. Each leaf is credited to
+its partition by its top bits. A frontier larger than `FRONTIER_CAP` is split in
 two and the first half is finished before the second is started, so at most
 about m * FRONTIER_CAP nodes are held at once, and the lowest unfinished
 prefix is always on top of the stack of pending halves. Every partition below
@@ -143,6 +146,25 @@ def scan_partitions(
         partial[:shifts].take(parents, axis=1, out=new_partial[:shifts], mode="clip")
         return [masks.take(parents), new_signs, new_partial, negs.take(parents), evens.take(parents)]
 
+    def advance(nodes, k: int) -> list:
+        """The children at entry k that survive pruning and, above `depth`, lie on a prefix.
+
+        Empties `nodes`, so the parents are freed before the children are assigned.
+        """
+        keep = children(nodes, k)
+        if k < depth:
+            # child c holds the leaves from c << shift on; it lies on a prefix
+            # when the first partition starting there starts under c
+            shift = np.uint64(m - 1 - k)
+            child = (nodes[0] << np.uint64(1)) | _BOTH_BITS[:, None]
+            at = np.minimum(np.searchsorted(starts, child << shift), count - 1)
+            keep &= starts[at] >> shift == child
+        survivors = np.flatnonzero(keep.T)  # child b of node i is 2i+b
+        kids = gather(nodes, k, survivors >> 1)
+        nodes.clear()
+        assign(kids, k, (survivors & 1).astype(np.uint8))
+        return kids
+
     def credit(totals: np.ndarray, part: np.ndarray) -> None:
         """Add one to totals[i] for every entry i of the sorted partition indices."""
         if len(part):
@@ -156,51 +178,33 @@ def scan_partitions(
     found: list[list[int]] = [[] for _ in range(count)]
     sampled: dict[int, list[np.ndarray]] = {}  # unyielded partitions' sampled masks, in chunks
 
-    # The fixed prefixes are installed without prune checks, as in _pykernel.
-    # Partial sums and counts never exceed m <= 64 in size, so int8 holds them.
-    bits = np.array(prefixes, dtype=np.uint64)
-    nodes = [
-        np.zeros(count, dtype=np.uint64),
-        np.zeros((m, count), dtype=np.int8),
-        np.zeros((nshift, count), dtype=np.int8),
-        np.zeros(count, dtype=np.int8),
-        np.zeros(count, dtype=np.int8),
-    ]
-    for k in range(depth):
-        assign(nodes, k, ((bits >> np.uint64(depth - 1 - k)) & np.uint64(1)).astype(np.uint8))
-    pending = [(depth, [a[..., i : i + FRONTIER_CAP] for a in nodes])
-               for i in reversed(range(0, count, FRONTIER_CAP))]
+    # The scan starts from the empty row, one node. Partial sums and counts never
+    # exceed m <= 64 in size, so int8 holds them.
+    root = [np.zeros(1, dtype=np.uint64),
+            *(np.zeros(shape, dtype=np.int8) for shape in ((m, 1), (nshift, 1), 1, 1))]
+    pending = [(0, root)] if count else []
 
     done = 0
     while pending:
         k, nodes = pending.pop()
         while k < m and len(nodes[0]):
-            survivors = np.flatnonzero(children(nodes, k).T)  # child b of node i is 2i+b
-            nodes = gather(nodes, k, survivors >> 1)
-            assign(nodes, k, (survivors & 1).astype(np.uint8))
+            nodes = advance(nodes, k)
             k += 1
             if len(nodes[0]) > FRONTIER_CAP:
                 cut = len(nodes[0]) // 2
                 pending.append((k, [a[..., cut:].copy() for a in nodes]))
                 nodes = [a[..., :cut] for a in nodes]
         if k == m and len(nodes[0]):
-            masks, signs, partial, negs, evens = nodes
-            ok = np.ones(len(masks), dtype=bool)
-            if row_sum_on:
-                ok &= window[m - 1, negs]  # a window one count wide: negs itself is admissible
-            if track_balance:
-                ok &= evens == quota  # a leaf has set all 2 * quota blocks
-            leaves = np.flatnonzero(ok)
-            masks = masks[leaves]
+            # entry m-1's window and quota already admit only admissible, balanced rows
+            masks, signs, partial, _, _ = nodes
             part = np.searchsorted(starts, masks, side="right") - 1
             credit(reached, part)
             first = _leading_signs(masks, m, nshift)  # the gather dropped these rows
             flat = np.arange(len(masks))  # the leaves whose shifts so far sum to 0
             for s in range(1, nshift + 1):
                 # entries m-s.. wrap onto entries ..s-1; each sum is at most m <= 64
-                rows = leaves[flat]
-                wrap = np.einsum("ij,ij->j", signs[m - s :, rows], first[:s, flat])
-                flat = flat[partial[s - 1, rows] + wrap == 0]
+                wrap = np.einsum("ij,ij->j", signs[m - s :, flat], first[:s, flat])
+                flat = flat[partial[s - 1, flat] + wrap == 0]
             for mask, i in zip(masks[flat].tolist(), part[flat].tolist()):
                 found[i].append(mask)
             if cc_threshold:

@@ -4,8 +4,12 @@ Rows of length m are bitmasks: bit (m-1-i) is set when row[i] is -1, so
 lexicographic order on rows equals numeric order on masks. A subtree is the set
 of masks sharing their top `depth` bits. The scan recursively assigns row
 entries left to right, keeping incremental autocorrelation sums, a negative
-count and block balance counters, and prunes with bounds that are monotone
-along prefixes (so results do not depend on how the space is partitioned).
+count and block balance counters. Every entry goes through the same step: its
+candidate bits are the prefix's own bit inside the prefix and both bits after
+it, and each candidate is pruned by the row-sum window, the balance quota and
+the autocorrelation bound. So a leaf has passed every filter at every entry, the
+last one included. The bounds are monotone along prefixes, so results do not
+depend on how the space is partitioned, the full row included.
 """
 
 from __future__ import annotations
@@ -65,36 +69,22 @@ def scan_subtree(
         for s in range(1, min(k, nshift) + 1):
             partial[s] -= r[k - s] * r[k]
 
-    def leaf(mask: int, negs: int, evens: int, odds: int) -> None:
-        nonlocal reached
-        if row_sum_on and not (adm_mask >> negs) & 1:
-            return
-        if track_balance and evens != odds:
-            return
-        reached += 1
-        flat = True
-        for s in range(1, nshift + 1):
-            total = partial[s]
-            for i in range(m - s, m):
-                total += r[i] * r[i + s - m]
-            if total != 0:
-                flat = False
-                break
-        if cc_threshold and crosscheck_selected(mask, cc_threshold):
-            cc_masks.append(mask)
-        if flat:
-            found.append(mask)
-
     def descend(k: int, mask: int, negs: int, evens: int, odds: int) -> None:
+        nonlocal reached
         if k == m:
-            leaf(mask, negs, evens, odds)
+            # entry m-1's window and quota already admitted only admissible, balanced rows
+            reached += 1
+            if cc_threshold and crosscheck_selected(mask, cc_threshold):
+                cc_masks.append(mask)
+            for s in range(1, nshift + 1):
+                if partial[s] + sum(r[i] * r[i + s - m] for i in range(m - s, m)):
+                    return
+            found.append(mask)
             return
-        for bit in (0, 1):
+        for bit in ((prefix >> (depth - 1 - k)) & 1,) if k < depth else (0, 1):
             negs2 = negs + bit
-            if row_sum_on:
-                window = (adm_mask >> negs2) & ((1 << (m - k)) - 1)
-                if not window:
-                    continue
+            if row_sum_on and not (adm_mask >> negs2) & ((1 << (m - k)) - 1):
+                continue
             assign(k, bool(bit))
             evens2, odds2 = evens, odds
             if track_balance and k >= half:
@@ -102,31 +92,12 @@ def scan_subtree(
                     evens2 += 1
                 else:
                     odds2 += 1
-                if evens2 > quota or odds2 > quota:
-                    unassign(k)
-                    continue
-            if paf_prefix_on and _bound_violated(partial, k, m, nshift):
-                unassign(k)
-                continue
-            descend(k + 1, (mask << 1) | bit, negs2, evens2, odds2)
+            balanced = evens2 <= quota and odds2 <= quota
+            if balanced and not (paf_prefix_on and _bound_violated(partial, k, m, nshift)):
+                descend(k + 1, (mask << 1) | bit, negs2, evens2, odds2)
             unassign(k)
 
-    # Install the fixed prefix without prune checks; the bounds are monotone, so
-    # any violation inside the prefix still prunes every descendant below it.
-    evens = odds = negs = 0
-    for k in range(depth):
-        bit = (prefix >> (depth - 1 - k)) & 1
-        assign(k, bool(bit))
-        negs += bit
-        if track_balance and k >= half:
-            if r[k - half] == r[k]:
-                evens += 1
-            else:
-                odds += 1
-    if depth == m:
-        leaf(prefix, negs, evens, odds)
-    else:
-        descend(depth, prefix, negs, evens, odds)
+    descend(0, 0, 0, 0, 0)
     return reached, found, np.array(cc_masks, dtype=np.uint64)
 
 
@@ -159,9 +130,11 @@ def _bound_violated(partial, k, m, nshift) -> bool:
 
 # Largest order whose gram entries and partial sums all fit in int8.
 GRAM_INT8_ORDER_LIMIT = 127
+# Masks whose circulants are multiplied out at once.
+GRAM_CHUNK = 4096
 
 
-def gram_hadamard_batch(masks: np.ndarray, m: int, chunk: int = 4096) -> np.ndarray:
+def gram_hadamard_batch(masks: np.ndarray, m: int) -> np.ndarray:
     """Ground-truth gram verdict for each mask: circulant M satisfies MM^T = mI.
 
     Builds the actual circulant and multiplies it out; deliberately never uses
@@ -175,8 +148,8 @@ def gram_hadamard_batch(masks: np.ndarray, m: int, chunk: int = 4096) -> np.ndar
     verdicts = np.empty(len(masks), dtype=bool)
     circ_idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
     target = m * np.eye(m, dtype=np.int8)
-    for start in range(0, len(masks), chunk):
-        rows = masks_to_rows(masks[start : start + chunk], m)
+    for start in range(0, len(masks), GRAM_CHUNK):
+        rows = masks_to_rows(masks[start : start + GRAM_CHUNK], m)
         circs = rows[:, circ_idx]
         grams = np.einsum("bij,bkj->bik", circs, circs)
         verdicts[start : start + len(rows)] = np.all(grams == target, axis=(1, 2))

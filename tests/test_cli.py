@@ -79,6 +79,12 @@ def test_directory_path_exits_two_with_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_negative_times_exits_two_with_one_error_line(capsys):
+    assert main(["construct", "--family", "c4", "--times", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_search_order_8(capsys):
     assert main(["search", "--order", "8"]) == 0
     out = capsys.readouterr().out
@@ -210,6 +216,22 @@ def test_analyze_of_an_order_256_row_finishes():
     system = block_system(signs)
     for kind, report in json.loads(proc.stdout)["matching"].items():
         assert report["perfect_matching_found"] == balanced_classes(system, kind)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--row", "+++-++-+", "--format", "json"],
+    ["construct", "--family", "c4", "--extend", "c4", "--times", "4"],
+], ids=["analyze", "construct-1024"])
+def test_closed_stdout_pipe_exits_141_quietly(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(circhad.__file__).resolve().parents[1])}
+    reader, writer = os.pipe()
+    os.close(reader)  # no reader is left before the command writes a byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "circhad", *argv], env=env, stdout=writer,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_matching_report_of_an_order_1024_row_finishes():

@@ -226,8 +226,8 @@ def test_leaf_signs_and_flatness_match_the_python_paf(m):
         assert got.dtype == np.int8 and np.array_equal(got, expected)
     if m == 4:
         assert [mask for mask in masks if paf_is_flat(mask, m)] == [1, 2, 4, 7, 8, 11, 13, 14]
-    # depth m installs every entry; at depth m - 1 the last level's gather drops
-    # the first entries, which the leaves rebuild from the masks
+    # every entry lies inside the prefix at depth m, all but the last at depth m - 1;
+    # either way the gathers drop the first entries, which the leaves rebuild from the masks
     for depth in (m, m - 1):
         prefixes = sorted({mask >> (m - depth) for mask in masks})
         expected = []
@@ -267,6 +267,55 @@ def test_determinism_across_workers_and_partitions():
         for w, d in ((1, None), (2, None), (8, None), (1, 0), (3, 5), (8, 8))
     ]
     assert all(p == payloads[0] for p in payloads)
+
+
+FILTER_SETS = {
+    "default": {},
+    "no-row-sum": {"row_sum": False},
+    "no-row-sum-or-balance": {"row_sum": False, "balance": False},
+    "crosscheck": {"crosscheck_fraction": 1.0},
+}
+
+
+def depth_sweeps():
+    """(kernel, order, fix_first, filter set, depths from 0 through the full row)."""
+    for module, m, fix_first, name in itertools.product(KERNELS, (4, 8, 12, 16), (True, False), FILTER_SETS):
+        full_row = m - 1 if fix_first else m
+        depths = list(range(full_row + 1))
+        if module is _pykernel and m == 16:
+            # the Python kernel scans each of the full row's 2^15 prefixes apart, which
+            # takes about 3 s, so at order 16 it runs one case at three depths
+            if not fix_first or name != "default":
+                continue
+            depths = [0, 6, full_row]
+        yield pytest.param(module, m, fix_first, name, depths,
+                           id=f"{module.BACKEND}-{m}-{'fixed' if fix_first else 'full'}-{name}")
+
+
+@pytest.mark.parametrize("module, m, fix_first, filters, depths", list(depth_sweeps()))
+def test_counts_do_not_depend_on_partition_depth(monkeypatch, module, m, fix_first, filters, depths):
+    # every level is pruned alike, the entries inside a partition's prefix included,
+    # so the full row (one partition per row) counts what the default depth does
+    monkeypatch.setattr(engine, "_kernel", module)
+    config = {"order": m, "fix_first": fix_first, **FILTER_SETS[filters]}
+    expected = search(SearchConfig(**config)).deterministic_payload()
+    for depth in depths:
+        assert search(SearchConfig(partition_depth=depth, **config)).deterministic_payload() == expected, depth
+
+
+def test_prefixes_pruned_inside_themselves_are_yielded_empty():
+    # at depth 12 these 13 prefixes hold 11 or more negatives, more than any
+    # admissible count at order 16, so the row-sum window prunes each inside itself
+    m, depth = 16, 12
+    counts, adm_mask = engine._admissible_mask(m)
+    assert max(counts) == 10
+    prefixes = [p for p in range(1 << depth) if bin(p).count("1") >= 11]
+    assert len(prefixes) == 13
+    for module in KERNELS:
+        scan = list(module.scan_partitions(m, prefixes, depth, True, adm_mask, True, True, 1 << 32))
+        assert [entry[0] for entry in scan] == prefixes, module.BACKEND
+        for _, reached, found, sampled in scan:
+            assert (reached, list(found), sampled.dtype, len(sampled)) == (0, [], np.uint64, 0)
 
 
 def test_workers_beyond_the_cpus_fork_one_child_per_cpu(monkeypatch):
