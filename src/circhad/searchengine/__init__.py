@@ -187,7 +187,7 @@ class _PartitionOutcome:
 
 
 _CHECKPOINT_FIELDS = ["prefix", "survivors", "reached", "crosschecked", "mismatches", "masks", "crc"]
-_CHECKPOINT_HEADER = "# circhad-checkpoint v2 "
+_CHECKPOINT_HEADER = "# circhad-checkpoint v3 "
 
 
 def _load_checkpoint(

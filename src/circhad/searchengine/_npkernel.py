@@ -56,7 +56,11 @@ def scan_subtree(
     paf_prefix_on: bool,
     cc_threshold: int,
 ):
-    """Enumerate the masks under (prefix, depth); see `_pykernel.scan_subtree`."""
+    """`scan_partitions` of the one prefix, as (reached, found_masks, sampled_masks).
+
+    Only the benchmark's tracer calls it, as its hook into the kernel, until the
+    benchmark traces `scan_partitions` itself (ROADMAP item 1).
+    """
     ((_, *result),) = scan_partitions(
         m, [prefix], depth, row_sum_on, adm_mask, balance_on, paf_prefix_on, cc_threshold
     )
@@ -89,7 +93,7 @@ def scan_partitions(
     """Scan the subtrees under each of the sorted `prefixes` at `depth`.
 
     Yields (prefix, reached, found_masks, sampled_masks) for every prefix, in
-    order; each tuple after the prefix is `_pykernel.scan_subtree`'s result.
+    order, as `_pykernel.scan_partitions` does.
     """
     half = m // 2
     nshift = half

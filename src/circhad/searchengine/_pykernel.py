@@ -1,18 +1,24 @@
 """Pure-Python enumeration kernel; the readable reference twin of `_npkernel`.
 
 Rows of length m are bitmasks: bit (m-1-i) is set when row[i] is -1, so
-lexicographic order on rows equals numeric order on masks. A subtree is the set
-of masks sharing their top `depth` bits. The scan recursively assigns row
-entries left to right, keeping incremental autocorrelation sums, a negative
-count and block balance counters. Every entry goes through the same step: its
-candidate bits are the prefix's own bit inside the prefix and both bits after
-it, and each candidate is pruned by the row-sum window, the balance quota and
-the autocorrelation bound. So a leaf has passed every filter at every entry, the
-last one included. The bounds are monotone along prefixes, so results do not
-depend on how the space is partitioned, the full row included.
+lexicographic order on rows equals numeric order on masks. A partition is the
+set of masks sharing their top `depth` bits, its prefix. `scan_partitions`
+scans any sorted list of partitions in one recursive walk from the empty row,
+which assigns row entries left to right, keeping incremental autocorrelation
+sums, a negative count and block balance counters. Above `depth` it enters only
+the children on some pending prefix's path, so the prefixes share their common
+entries, and it yields each partition's result once its subtree is done; a
+prefix pruned inside itself is never opened and is yielded empty. Every entry
+goes through the same step: each candidate bit is pruned by the row-sum window,
+the balance quota and the autocorrelation bound. So a leaf has passed every
+filter at every entry, the last one included. The bounds are monotone along
+prefixes, so results do not depend on how the space is partitioned, the full
+row included.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -29,9 +35,9 @@ def crosscheck_selected(mask: int, threshold: int) -> bool:
     return ((mask * _HASH_MULT) & _U64) >> 32 < threshold
 
 
-def scan_subtree(
+def scan_partitions(
     m: int,
-    prefix: int,
+    prefixes: list[int],
     depth: int,
     row_sum_on: bool,
     adm_mask: int,
@@ -39,9 +45,9 @@ def scan_subtree(
     paf_prefix_on: bool,
     cc_threshold: int,
 ):
-    """Enumerate the masks under (prefix, depth).
+    """Scan the subtrees under each of the sorted `prefixes` at `depth`.
 
-    Returns (reached, found_masks, sampled_masks):
+    Yields (prefix, reached, found_masks, sampled_masks) for every prefix, in order:
       reached       rows passing the enabled row_sum/balance filters and not
                     removed by the (enabled) incremental autocorrelation bound
       found_masks   masks among those whose full autocorrelation is flat
@@ -65,56 +71,54 @@ def scan_subtree(
         for s in range(1, min(k, nshift) + 1):
             partial[s] += r[k - s] * r[k]
 
-    def unassign(k: int) -> None:
-        for s in range(1, min(k, nshift) + 1):
-            partial[s] -= r[k - s] * r[k]
+    def on_path(k: int, child: int) -> bool:
+        """Some pending prefix starts with `child`, the first k+1 entries of a row."""
+        shift = depth - 1 - k
+        i = bisect.bisect_left(prefixes, child << shift)
+        return i < len(prefixes) and prefixes[i] >> shift == child
 
-    def descend(k: int, mask: int, negs: int, evens: int, odds: int) -> None:
-        nonlocal reached
+    def descend(k: int, mask: int, negs: int, evens: int, odds: int):
+        nonlocal reached, found, cc_masks
+        if k == depth:
+            reached, found, cc_masks = 0, [], []
         if k == m:
             # entry m-1's window and quota already admitted only admissible, balanced rows
             reached += 1
             if cc_threshold and crosscheck_selected(mask, cc_threshold):
                 cc_masks.append(mask)
-            for s in range(1, nshift + 1):
-                if partial[s] + sum(r[i] * r[i + s - m] for i in range(m - s, m)):
-                    return
-            found.append(mask)
-            return
-        for bit in ((prefix >> (depth - 1 - k)) & 1,) if k < depth else (0, 1):
-            negs2 = negs + bit
-            if row_sum_on and not (adm_mask >> negs2) & ((1 << (m - k)) - 1):
-                continue
-            assign(k, bool(bit))
-            evens2, odds2 = evens, odds
-            if track_balance and k >= half:
-                if r[k - half] == r[k]:
-                    evens2 += 1
-                else:
-                    odds2 += 1
-            balanced = evens2 <= quota and odds2 <= quota
-            if balanced and not (paf_prefix_on and _bound_violated(partial, k, m, nshift)):
-                descend(k + 1, (mask << 1) | bit, negs2, evens2, odds2)
-            unassign(k)
+            if all(partial[s] + sum(r[i] * r[i + s - m] for i in range(m - s, m)) == 0
+                   for s in range(1, nshift + 1)):
+                found.append(mask)
+        else:
+            unassigned = partial[:]  # restored after each child
+            for bit in (0, 1):
+                if k < depth and not on_path(k, (mask << 1) | bit):
+                    continue
+                negs2 = negs + bit
+                if row_sum_on and not (adm_mask >> negs2) & ((1 << (m - k)) - 1):
+                    continue
+                assign(k, bool(bit))
+                evens2, odds2 = evens, odds
+                if track_balance and k >= half:
+                    if r[k - half] == r[k]:
+                        evens2 += 1
+                    else:
+                        odds2 += 1
+                balanced = evens2 <= quota and odds2 <= quota
+                if balanced and not (paf_prefix_on and _bound_violated(partial, k, m, nshift)):
+                    yield from descend(k + 1, (mask << 1) | bit, negs2, evens2, odds2)
+                partial[:] = unassigned
+        if k == depth:
+            yield mask, reached, found, np.array(cc_masks, dtype=np.uint64)
 
-    descend(0, 0, 0, 0, 0)
-    return reached, found, np.array(cc_masks, dtype=np.uint64)
-
-
-def scan_partitions(
-    m: int,
-    prefixes: list[int],
-    depth: int,
-    row_sum_on: bool,
-    adm_mask: int,
-    balance_on: bool,
-    paf_prefix_on: bool,
-    cc_threshold: int,
-):
-    """Yield (prefix, *scan_subtree(...)) for each of the sorted prefixes, in order."""
+    walk = descend(0, 0, 0, 0, 0)
+    entry = next(walk, None) if prefixes else None
     for prefix in prefixes:
-        yield (prefix, *scan_subtree(m, prefix, depth, row_sum_on, adm_mask, balance_on,
-                                     paf_prefix_on, cc_threshold))
+        if entry and entry[0] == prefix:
+            yield entry
+            entry = next(walk, None)
+        else:
+            yield prefix, 0, [], np.empty(0, dtype=np.uint64)
 
 
 def _bound_violated(partial, k, m, nshift) -> bool:

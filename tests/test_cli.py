@@ -107,7 +107,7 @@ def test_search_capacity_exit_three(capsys):
 def test_search_with_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "run.ckpt"
     assert main(["search", "--order", "12", "--checkpoint", str(ckpt), "--workers", "2"]) == 0
-    assert ckpt.read_text().startswith("# circhad-checkpoint v2 ")
+    assert ckpt.read_text().startswith("# circhad-checkpoint v3 ")
 
 
 
@@ -134,19 +134,23 @@ def test_checkpoint_bytes_do_not_depend_on_workers(tmp_path, capsys, order):
 
 
 @pytest.mark.parametrize(
-    "argv, checked, digest",
+    "argv, checked, header, digest",
     [
         (["--order", "12", "--no-filter", "row_sum", "--crosscheck", "0.5", "--partition-depth", "3"],
-         81, "39dbb879abdac1ca0adb02b5df51036f9ec8f9ad4915c7cec2c13ab484c17c29"),
+         81, "fingerprint=171773f642f6 order=12", "d612ca7afd8eda5aaf9a6ab5731f15204109a6c335fa4df8db5660fb6c17043d"),
         (["--order", "16", "--crosscheck", "1.0", "--partition-depth", "4"],
-         898, "105f79d0b602d55891935e0a2a7bd6f8d53d5f10531d5064b130b39b4a8e98e3"),
+         898, "fingerprint=33ea4840c8d2 order=16", "075c6a5698d6e85a3246e4d1dc1b5597bd55cc925bafbfba8f1480291010e0d0"),
     ],
+    ids=["order12", "order16"],
 )
-def test_crosschecked_checkpoint_bytes_are_pinned(tmp_path, capsys, argv, checked, digest):
+def test_crosschecked_checkpoint_bytes_are_pinned(tmp_path, capsys, argv, checked, header, digest):
     path = tmp_path / "pinned.ckpt"
     assert main(["search", *argv, "--workers", "2", "--format", "json", "--checkpoint", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["crosscheck"] == {"checked": checked, "mismatches": 0}
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # the partition lines are the bytes the v2 format wrote; only the header's version moved
+    first, partitions = path.read_bytes().split(b"\n", 1)
+    assert first.decode() == f"# circhad-checkpoint v3 {header}"
+    assert hashlib.sha256(partitions).hexdigest() == digest
 
 
 @pytest.mark.parametrize("order", ["4", "16"])

@@ -34,8 +34,8 @@ def scanned(module, m, prefixes, depth, *filters):
 
 
 def subtree_scans(m, prefixes, depth, *filters):
-    """The reference: `_pykernel.scan_subtree` of each prefix, as `scan_partitions` would yield it."""
-    return [listed((p, *_pykernel.scan_subtree(m, p, depth, *filters))) for p in prefixes]
+    """The reference: `_pykernel.scan_partitions` of each prefix alone."""
+    return [entry for p in prefixes for entry in scanned(_pykernel, m, [p], depth, *filters)]
 
 
 def gram_oracle_rows(m):
@@ -123,17 +123,14 @@ def test_fix_first_and_full_space_agree(kernel):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12, 16])
 @pytest.mark.parametrize("row_sum, balance, paf_prefix", itertools.product([False, True], repeat=3))
 def test_kernels_agree(m, row_sum, balance, paf_prefix):
-    # every depth here runs on the whole row space except at order 16, where
-    # the shallow subtrees would make the Python kernel slow
     _, adm_mask = engine._admissible_mask(m)
-    depths = sorted(d for d in {0, 1, 3, 5, m} if d <= m and (m < 16 or d >= 5))
-    for depth in depths:
-        prefixes = {0, 1, (1 << depth) // 3, (1 << depth) - 1} & set(range(1 << depth))
-        for prefix in sorted(prefixes):
-            for threshold in (0, 1 << 31, 1 << 32):
-                args = (m, prefix, depth, row_sum, adm_mask, balance, paf_prefix, threshold)
-                got = listed(_npkernel.scan_subtree(*args))
-                assert got == listed(_pykernel.scan_subtree(*args)), args
+    for depth in sorted(d for d in {0, 1, 3, 5, m} if d <= m):
+        prefixes = sorted({0, 1, (1 << depth) // 3, (1 << depth) - 1} & set(range(1 << depth)))
+        # these prefixes cover half the row space or more below depth 5, which the Python
+        # kernel scans in about 0.5 s at order 16 unfiltered, so there it samples once
+        for threshold in (1 << 31,) if m == 16 and depth < 5 else (0, 1 << 31, 1 << 32):
+            args = (m, prefixes, depth, row_sum, adm_mask, balance, paf_prefix, threshold)
+            assert scanned(_npkernel, *args) == scanned(_pykernel, *args), args
 
 
 def partition_lists(reference):
@@ -151,8 +148,7 @@ def partition_lists(reference):
 def test_scan_partitions_matches_per_prefix_scans(m, row_sum, balance, paf_prefix):
     _, adm_mask = engine._admissible_mask(m)
     depths = sorted(d for d in {1, 3, 5, m} if d <= m and (m < 16 or d == 5))
-    # the Python kernel's loop over all prefixes is the reference itself, so
-    # it runs on the shorter lists only; orders 12 and 16 trim the thresholds
+    # the reference scans each prefix apart, so orders 12 and 16 trim the thresholds
     thresholds = {12: (1 << 31,), 16: (0,)}.get(m, (0, 1 << 31))
     for depth, threshold in itertools.product(depths, thresholds):
         filters = (row_sum, adm_mask, balance, paf_prefix, threshold)
@@ -160,7 +156,7 @@ def test_scan_partitions_matches_per_prefix_scans(m, row_sum, balance, paf_prefi
         by_prefix = {entry[0]: entry for entry in reference}
         for name, prefixes in partition_lists(reference).items():
             expected = [by_prefix[p] for p in prefixes]
-            for module in KERNELS if name != "all" else [_npkernel]:
+            for module in KERNELS:
                 got = scanned(module, m, prefixes, depth, *filters)
                 assert got == expected, (module.BACKEND, name, depth, filters)
 
@@ -282,12 +278,9 @@ def depth_sweeps():
     for module, m, fix_first, name in itertools.product(KERNELS, (4, 8, 12, 16), (True, False), FILTER_SETS):
         full_row = m - 1 if fix_first else m
         depths = list(range(full_row + 1))
-        if module is _pykernel and m == 16:
-            # the Python kernel scans each of the full row's 2^15 prefixes apart, which
-            # takes about 3 s, so at order 16 it runs one case at three depths
-            if not fix_first or name != "default":
-                continue
-            depths = [0, 6, full_row]
+        if module is _pykernel and m == 16 and not (fix_first and name in ("default", "no-row-sum")):
+            # the Python kernel's whole order-16 grid takes about 22 s, these two sets 3 s
+            continue
         yield pytest.param(module, m, fix_first, name, depths,
                            id=f"{module.BACKEND}-{m}-{'fixed' if fix_first else 'full'}-{name}")
 
@@ -316,6 +309,14 @@ def test_prefixes_pruned_inside_themselves_are_yielded_empty():
         assert [entry[0] for entry in scan] == prefixes, module.BACKEND
         for _, reached, found, sampled in scan:
             assert (reached, list(found), sampled.dtype, len(sampled)) == (0, [], np.uint64, 0)
+
+
+@pytest.mark.parametrize("module", KERNELS, ids=lambda module: module.BACKEND)
+def test_no_prefixes_yield_nothing(module):
+    # resuming a finished --partition-depth 0 checkpoint leaves no prefix to scan
+    _, adm_mask = engine._admissible_mask(8)
+    for depth in (0, 3, 8):
+        assert list(module.scan_partitions(8, [], depth, True, adm_mask, True, True, 1 << 32)) == []
 
 
 def test_workers_beyond_the_cpus_fork_one_child_per_cpu(monkeypatch):
@@ -451,7 +452,7 @@ def test_checkpoint_roundtrip(tmp_path):
     config = SearchConfig(order=12, row_sum=False, checkpoint_path=path, partition_depth=4)
     first = search(config)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# circhad-checkpoint v2 ")
+    assert lines[0].startswith("# circhad-checkpoint v3 ")
     body = [line for line in lines[1:] if line.strip()]
     assert len(body) == 16
     for line in body:
@@ -538,11 +539,12 @@ def test_checkpoint_crc_catches_a_damaged_mask(tmp_path, capsys, damage):
     assert "line 4" in capsys.readouterr().err
 
 
-def test_checkpoint_refuses_version_one(tmp_path, capsys):
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_checkpoint_refuses_older_versions(tmp_path, capsys, version):
     path = tmp_path / "search.ckpt"
     config = SearchConfig(order=4, row_sum=False, checkpoint_path=path, partition_depth=2)
     search(config)
-    path.write_text(path.read_text().replace("# circhad-checkpoint v2 ", "# circhad-checkpoint v1 "))
+    path.write_text(path.read_text().replace("# circhad-checkpoint v3 ", f"# circhad-checkpoint {version} "))
     assert main(order4_resume_argv(path)) == 2
     err = capsys.readouterr().err
     assert "older format" in err and err.count("\n") == 1
