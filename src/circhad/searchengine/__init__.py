@@ -21,10 +21,10 @@ alone asks the gram oracle, which judges the rows a kernel sampled for the
 cross-check and re-verifies every found row.
 
 The pending partitions go to the kernel's `scan_partitions` as one batched
-frontier, held node-minor and split into halves of at most
-`_npkernel.FRONTIER_CAP` nodes, which yields each partition's result in prefix
-order as soon as it is final; so a checkpoint line is appended as each
-partition finishes. With N > 1 workers,
+frontier, held node-minor with only each node's live window of its last m/2
+signs, and split into halves of at most `_npkernel.FRONTIER_CAP` nodes. It
+yields each partition's result in prefix order as soon as it is final, so a
+checkpoint line is appended as each partition finishes. With N > 1 workers,
 up to N forked child processes, one per CPU at most, take the pending
 partitions in round-robin shares, each scanned as one batched frontier, and
 stream every partition's result back as soon as it is final; the parent

@@ -85,6 +85,22 @@ def test_negative_times_exits_two_with_one_error_line(capsys):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+def test_repeated_calls_see_only_their_own_arguments(capsys):
+    # main builds its parser once; no call may leak into the next, not even a usage error
+    unfiltered = ["search", "--order", "16", "--no-filter", "row_sum", "--format", "json"]
+    balance_counts = []
+    for argv in (unfiltered + ["--no-filter", "balance"], unfiltered):
+        assert main(argv) == 0
+        balance_counts.append(json.loads(capsys.readouterr().out)["stage_counts"]["balance"])
+    assert balance_counts == [65536, 17920]
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--no-filter", "balance"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
+    assert main(unfiltered) == 0
+    assert json.loads(capsys.readouterr().out)["stage_counts"]["balance"] == 17920
+
+
 def test_search_order_8(capsys):
     assert main(["search", "--order", "8"]) == 0
     out = capsys.readouterr().out

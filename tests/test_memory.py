@@ -5,9 +5,12 @@ bounds do not depend on the allocator or on what the process held before.
 Each bound sits between the peak with int8 storage, a blocked gram and a
 blocked RG check, and the peak with int64 storage and whole-matrix products:
 verify 1024 about 8 MB against 31 MB, construct 1024 about 8 MB against 15 MB,
-and the order-16 crosscheck search about 4 MB against 10 MB. Listing recovery
+and the order-16 crosscheck search about 3.4 MB against 10 MB. Listing recovery
 of the 1024 file without its header peaks at about 10 MB with coded rows and
 bitmasks, against about 55 MB with the matrix and group table as Python lists.
+The serial order-20 search peaks at about 1.6 MB with the kernel's frontier of
+16384 nodes holding only the live sign window, each half gathered on its own,
+against 2.6 MB with all m sign rows per node and split halves kept as views.
 """
 
 import tracemalloc
@@ -18,6 +21,7 @@ from circhad.cli import main
 
 MB = 1 << 20
 CONSTRUCT_1024 = ["construct", "--family", "c4", "--extend", "c4", "--times", "4"]
+ORDER_20 = ["search", "--order", "20", "--no-filter", "row_sum", "--format", "json"]
 CROSSCHECK_16 = ["search", "--order", "16", "--no-filter", "row_sum", "--no-filter", "balance",
                  "--no-filter", "paf_prefix", "--crosscheck", "1.0", "--format", "json"]
 
@@ -62,3 +66,9 @@ def test_crosscheck_search_peak(capsys):
     peak = traced_peak(CROSSCHECK_16)
     assert '"mismatches": 0' in capsys.readouterr().out
     assert peak < 4.5 * MB, f"crosscheck search peaked at {peak / MB:.1f} MB"
+
+
+def test_search_order20_peak(capsys):
+    peak = traced_peak(ORDER_20)
+    assert '"paf_prefix": 25128' in capsys.readouterr().out
+    assert peak < 2.1 * MB, f"order-20 search peaked at {peak / MB:.2f} MB"

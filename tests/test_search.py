@@ -175,6 +175,28 @@ def test_scan_partitions_in_order_through_small_frontiers(monkeypatch, cap):
             assert scanned(_npkernel, m, prefixes, depth, *filters) == expected
 
 
+def test_default_frontier_cap_scans_like_a_small_one(monkeypatch):
+    # the unfiltered order-24 tree is wider than the default cap, so the default splits
+    # its frontier where a cap of 512 splits it too, at other widths
+    widths = []
+
+    class RecordingCap(int):
+        def __lt__(self, width):  # `width > FRONTIER_CAP` asks the cap first
+            widths.append(width)
+            return int(self) < width
+
+    m, depth = 24, 4
+    _, adm_mask = engine._admissible_mask(m)
+    prefixes = list(range(1 << (depth - 1)))  # every row[0] = + partition
+    filters = (False, adm_mask, True, True, 1 << 28)
+    monkeypatch.setattr(_npkernel, "FRONTIER_CAP", RecordingCap(_npkernel.FRONTIER_CAP))
+    at_default = scanned(_npkernel, m, prefixes, depth, *filters)
+    assert max(widths) > _npkernel.FRONTIER_CAP
+    assert sum(entry[1] for entry in at_default) > 0
+    monkeypatch.setattr(_npkernel, "FRONTIER_CAP", 512)
+    assert scanned(_npkernel, m, prefixes, depth, *filters) == at_default
+
+
 @pytest.mark.parametrize(
     "m, depth, prefixes",
     [
