@@ -3,7 +3,7 @@
 The text matrix format is one row per line using '+' and '-', whitespace
 ignored, '#' comment lines allowed, and optional "key: value" header lines
 (order, group, listing) before the first row. JSON mirrors the same fields
-with stable key order.
+with stable key order, and is read back through the same row and order checks.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .searchengine import SearchResult
 from .signs import from_text, to_text
 
 _HEADER_KEYS = ("order", "group", "listing")
+_JSON_FIELDS = {"format": str, "rows": list, "order": int, "group": str, "listing": list}
 
 
 @dataclass
@@ -37,33 +38,39 @@ class MatrixDocument:
 
 
 def parse_matrix_document(text: str) -> MatrixDocument:
-    order: int | None = None
-    group: str | None = None
-    listing: tuple[int, ...] | None = None
+    """A matrix document in either form that `emit_matrix_document` writes."""
+    if text.lstrip().startswith("{"):
+        order, group, listing, lines = _json_fields(text)
+    else:
+        order, group, listing, lines = None, None, None, []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if ":" in line and not lines:
+                key, _, value = line.partition(":")
+                key = key.strip().lower()
+                value = value.strip()
+                if key not in _HEADER_KEYS:
+                    raise FormatError(f"unknown header field {key!r}", lineno)
+                if key == "order":
+                    try:
+                        order = int(value)
+                    except ValueError:
+                        raise FormatError(f"order is not an integer: {value!r}", lineno) from None
+                elif key == "group":
+                    group = value
+                else:
+                    try:
+                        listing = tuple(int(x) for x in value.replace(",", " ").split())
+                    except ValueError:
+                        raise FormatError(
+                            f"listing is not a list of integers: {value!r}", lineno
+                        ) from None
+                continue
+            lines.append((lineno, line))
     rows: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" in line and not rows:
-            key, _, value = line.partition(":")
-            key = key.strip().lower()
-            value = value.strip()
-            if key not in _HEADER_KEYS:
-                raise FormatError(f"unknown header field {key!r}", lineno)
-            if key == "order":
-                try:
-                    order = int(value)
-                except ValueError:
-                    raise FormatError(f"order is not an integer: {value!r}", lineno) from None
-            elif key == "group":
-                group = value
-            else:
-                try:
-                    listing = tuple(int(x) for x in value.replace(",", " ").split())
-                except ValueError:
-                    raise FormatError(f"listing is not a list of integers: {value!r}", lineno) from None
-            continue
+    for lineno, line in lines:
         compact = "".join(line.split())
         if compact.count("+") + compact.count("-") != len(compact):
             bad = set(compact) - {"+", "-"}
@@ -80,6 +87,23 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     if order is not None and order != len(rows):
         raise FormatError(f"declared order {order} but found {len(rows)} rows")
     return MatrixDocument(order=len(rows), rows=rows, group=group, listing=listing)
+
+
+def _json_fields(text: str):
+    """(order, group, listing, [(None, row)]) of a JSON document; its rows have no line number."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    if not (isinstance(payload, dict) and payload.get("format") == "matrix"
+            and all(type(value) is _JSON_FIELDS.get(key) for key, value in payload.items())
+            and all(type(row) is str for row in payload.get("rows", []))
+            and all(type(x) is int for x in payload.get("listing", []))):
+        raise FormatError('expected a JSON object with "format": "matrix", string rows, '
+                          "an integer order, a string group and a list of integers as listing")
+    listing = tuple(payload["listing"]) if "listing" in payload else None
+    rows = [(None, row) for row in payload.get("rows", [])]
+    return payload.get("order"), payload.get("group"), listing, rows
 
 
 def parse_sign_matrix(text: str) -> SignMatrix:

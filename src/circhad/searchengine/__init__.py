@@ -21,14 +21,14 @@ alone asks the gram oracle, which judges the rows a kernel sampled for the
 cross-check and re-verifies every found row.
 
 The pending partitions go to the kernel's `scan_partitions` as one batched
-frontier, held node-minor with only each node's live window of its last m/2
-signs, and split into halves of at most `_npkernel.FRONTIER_CAP` nodes. It
-yields each partition's result in prefix order as soon as it is final, so a
-checkpoint line is appended as each partition finishes. With N > 1 workers,
-up to N forked child processes, one per CPU at most, take the pending
-partitions in round-robin shares, each scanned as one batched frontier, and
-stream every partition's result back as soon as it is final; the parent
-records them in partition order.
+frontier, held node-minor with each node's signs kept only in its mask, and
+split into halves of at most `_npkernel.FRONTIER_CAP` nodes. It yields each
+partition's result in prefix order as soon as it is final, so a checkpoint
+line is appended as each partition finishes. With N workers, when k =
+min(N, pending partitions, usable CPUs) exceeds 1, k forked children take
+the pending partitions in round-robin shares, each scanned as one batched
+frontier, and stream every partition's result back as soon as it is final;
+the parent records them in partition order. Else the scan runs in-process.
 """
 
 from __future__ import annotations
@@ -291,9 +291,9 @@ def _send_share(share: list[int], scan: tuple, fd: int) -> None:
 
 
 def _scan_forked(
-    todo: list[int], scan: tuple, workers: int, record: Callable[[int, _PartitionOutcome], None]
+    todo: list[int], scan: tuple, n: int, record: Callable[[int, _PartitionOutcome], None]
 ) -> None:
-    """`record(prefix, outcome)` for each of the sorted prefixes, in order, scanned by forked children.
+    """`record(prefix, outcome)` for each of the sorted prefixes, in order, from n forked children.
 
     Child w of n scans todo[w::n] as one batched frontier and streams its results
     through its own pipe; result i is read from child i % n. Children are forked,
@@ -310,7 +310,6 @@ def _scan_forked(
     """
     import signal  # here, because its enums add about 1 ms to every start-up
 
-    n = min(workers, len(todo), len(os.sched_getaffinity(0)))
     children: list[tuple[int, BinaryIO]] = []
     try:
         for w in range(n):
@@ -404,8 +403,11 @@ def search(config: SearchConfig) -> SearchResult:
                 with checkpoint.open("a") as fh:
                     fh.write(_checkpoint_line(prefix, outcome) + "\n")
 
-        if config.workers > 1 and len(todo) > 1:
-            _scan_forked(todo, scan, config.workers, record)
+        # a lone child only adds a pipe; one worker skips sched_getaffinity, which macOS lacks
+        children = (min(config.workers, len(todo), len(os.sched_getaffinity(0)))
+                    if config.workers > 1 else 1)
+        if children > 1:
+            _scan_forked(todo, scan, children, record)
         else:
             for prefix, outcome in _scan(todo, scan):
                 record(prefix, outcome)

@@ -2,24 +2,21 @@
 
 The frontier of a scan is held node-minor: the masks, negative counts and
 even-block counts (a node's odd blocks are the rest of the blocks it has set)
-are arrays of N entries, one per node, and the sign window and the partial
-autocorrelations are int8 arrays of shape (m // 2, N). Before entry k is set,
-row s-1 of the window holds entry k-s, most recent first, and row s-1 of the
-partial sums holds shift s, so both are read as the same forward slice. So
-every step of a level is one vector operation along the N nodes. At each level
-the row-sum window, the balance quota (which reads the oldest row, entry
-k - m // 2) and the autocorrelation bound of `_pykernel` are applied to both
-children of every node as a (2, N) boolean mask, and only the surviving
-children are built. Child b of node i is 2i+b, so both kernels reach the same
-rows in the same order.
+are arrays of N entries, one per node, and the partial autocorrelations are an
+int8 array of shape (m // 2, N), whose row s-1 holds shift s. The mask is a
+node's only record of its signs: before entry k is set, bit s-1 of the mask is
+entry k-s, so the signs that entry k meets are the mask's low bits, read as
+rows in the same forward order as the partial sums. So every step of a level
+is one vector operation along the N nodes. At each level the row-sum window,
+the balance quota (which reads bit m // 2 - 1, entry k - m // 2) and the
+autocorrelation bound of `_pykernel` are applied to both children of every
+node, whose partial sums, counts and masks are computed once as (..., 2, N)
+arrays; the surviving columns are then gathered as the children. Child b of
+node i is 2i+b, so both kernels reach the same rows in the same order.
 
-Building the children is a gather of the parent columns that shifts the window
-down one row; setting entry k writes it into row 0. The gather copies only the
-live rows: no entry older than m // 2 is held, and partial sums that have not
-started are zero. The first entries of a row are rebuilt from the mask at a
-leaf to close the wrapped shifts. So a node of even order m holds m + 11
-bytes: 8 of mask, 2 of counts, m/2 of partial sums and m/2 + 1 of window,
-which the gather allocates with one row more for the entry that leaves it.
+Partial sums that have not started are zero. A leaf closes its wrapped shifts
+with signs read from both ends of its mask. So a node of even order m holds
+m/2 + 10 bytes: 8 of mask, 2 of counts and m/2 of partial sums.
 
 `scan_partitions` scans many partitions as one batched frontier, grown from
 the empty row by the same step at every level. Inside the prefixes that step
@@ -41,14 +38,14 @@ import numpy as np
 from . import _pykernel
 
 BACKEND = "numpy"
-# Measured on 2 vCPUs (BENCH_17.json), with the live sign window: 16384 cut the
-# benchmark's order-20 search rounds by 28-36% against 4096 and moved the serial
-# search's peak RSS by less than 0.1 MB; 32768 raised that peak by about 1.1 MB more.
+# Measured on 2 vCPUs (BENCH_17.json) at m + 11 bytes a node (m/2 + 10 now): 16384
+# cut the benchmark's order-20 search rounds by 28-36% against 4096 and moved the
+# serial search's peak RSS by less than 0.1 MB; 32768 raised that peak by 1.1 MB more.
 FRONTIER_CAP = 16384
 
 _HASH_MULT = np.uint64(_pykernel._HASH_MULT)
-_SIGN = np.array([1, -1], dtype=np.int8)  # sign of an entry, indexed by its bit
 _BOTH_BITS = np.array([0, 1], dtype=np.uint8)
+_CHILD_SIGNS = np.array([[1], [-1]], dtype=np.int8)  # entry k's sign in child b
 _NO_MASKS = np.empty(0, dtype=np.uint64)
 
 
@@ -73,16 +70,18 @@ def scan_subtree(
     return tuple(result)
 
 
-def _leading_signs(masks: np.ndarray, m: int, count: int) -> np.ndarray:
-    """Entries 0 to count-1 of the rows of length m that `masks` encode, node-minor.
+def _mask_signs(masks: np.ndarray, count: int) -> np.ndarray:
+    """Row s of the (count, len(masks)) int8 result is the sign of bit s of each mask.
 
-    Row j of the (count, len(masks)) int8 result is entry j, which is bit m-1-j.
-    One row at a time: a (count, len(masks)) uint64 temporary raised the peak
-    RSS of an order-16 cross-checked search by 0.7 MB.
+    A set bit is -1. Only the low 32 bits are read (count <= 32), so the
+    shifts run on the masks' low word as uint32. The signs are formed in place:
+    one more temporary raised the benchmark's serial search peak RSS.
     """
-    signs = np.empty((count, len(masks)), dtype=np.int8)
-    for j in range(count):
-        signs[j] = _SIGN[(masks >> np.uint64(m - 1 - j)) & np.uint64(1)]
+    bits = masks.astype(np.uint32) >> np.arange(count, dtype=np.uint32)[:, None]
+    bits &= np.uint32(1)
+    signs = bits.astype(np.int8)
+    signs *= -2
+    signs += 1
     return signs
 
 
@@ -101,7 +100,7 @@ def scan_partitions(
     Yields (prefix, reached, found_masks, sampled_masks) for every prefix, in
     order, as `_pykernel.scan_partitions` does.
     """
-    half = m // 2  # the shifts checked, and the rows of the sign window
+    half = m // 2  # the shifts checked
     track_balance = balance_on and m % 4 == 0
     quota = m // 4
     # row_sum_window[k, v]: some admissible count is still reachable from v
@@ -111,57 +110,32 @@ def scan_partitions(
         dtype=bool,
     )
 
-    def assign(nodes, k: int, bits: np.ndarray) -> None:
-        """Set entry k of every node in place; bits[i] is node i's new bit.
+    def children(nodes, k: int) -> tuple[list, np.ndarray]:
+        """Both children of every node at entry k, and which of them survive pruning.
 
-        Takes the nodes as `gather` built them: their window has one row more,
-        with entry k-s in row s, and it keeps only the first `half` rows.
+        Returns (kids, keep). kids holds the children's masks, partial sums,
+        negative and even-block counts as (..., 2, N) arrays, with the child of
+        node i with bit b in column [b, i]; keep[b, i] says that child survives.
         """
-        masks, window, partial, negs, evens = nodes
-        r = _SIGN[bits]
-        window[0] = r
+        masks, partial, negs, evens = nodes
         shifts = min(k, half)
-        # row s-1 of partial holds shift s, which pairs entry k with entry k-s
-        partial[:shifts] += window[1 : shifts + 1] * r
-        negs += bits
-        if track_balance and k >= half:
-            evens += window[half] == r
-        nodes[0] = (masks << np.uint64(1)) | bits
-        nodes[1] = window[:half]
-
-    def children(nodes, k: int) -> np.ndarray:
-        """keep[b, i]: the child of node i with bit b at entry k survives pruning."""
-        _, window, partial, negs, evens = nodes
-        keep = np.ones((2, len(negs)), dtype=bool)
+        signs = _mask_signs(masks, shifts)  # row s-1 is entry k-s, which shift s pairs with entry k
+        sums = np.zeros((half, 2, len(masks)), dtype=np.int8)
+        np.add(partial[:shifts], signs, out=sums[:shifts, 0])
+        np.subtract(partial[:shifts], signs, out=sums[:shifts, 1])
+        kid_negs = negs + _BOTH_BITS[:, None]
+        kid_evens = np.stack([evens, evens])
+        keep = np.ones((2, len(masks)), dtype=bool)
         if row_sum_on:
-            keep &= row_sum_window[k, negs + _BOTH_BITS[:, None]]
+            keep &= row_sum_window[k, kid_negs]
         if track_balance and k >= half:
-            plus_is_even = window[half - 1] == 1
-            child_evens = evens + np.stack([plus_is_even, ~plus_is_even])
-            keep &= (child_evens <= quota) & (k + 1 - half - child_evens <= quota)
-        shifts = min(k, half)
+            kid_evens += signs[half - 1] == _CHILD_SIGNS  # entry k-half has the child's sign
+            keep &= (kid_evens <= quota) & (k + 1 - half - kid_evens <= quota)
         if paf_prefix_on and shifts:
             remaining = (m - k - 1 + np.arange(1, shifts + 1, dtype=np.int8))[:, None]
-            step = window[:shifts]
-            part = partial[:shifts]
-            keep[0] &= np.all(np.abs(part + step) <= remaining, axis=0)
-            keep[1] &= np.all(np.abs(part - step) <= remaining, axis=0)
-        return keep
-
-    def gather(nodes, k: int, parents: np.ndarray) -> list:
-        """The nodes at `parents`, their window shifted down one row for entry k."""
-        masks, window, partial, negs, evens = nodes
-        n = len(parents)
-        shifts = min(k, half)  # the live rows of the window and of partial
-        # row 0 waits for entry k; row half receives entry k-half, which leaves the
-        # window once assign has read it
-        new_window = np.empty((half + 1, n), dtype=np.int8)
-        new_partial = np.empty((half, n), dtype=np.int8)
-        new_partial[shifts:] = 0
-        window[:shifts].take(parents, axis=1, out=new_window[1 : shifts + 1], mode="clip")
-        partial[:shifts].take(parents, axis=1, out=new_partial[:shifts], mode="clip")
-        return [masks.take(parents), new_window, new_partial,
-                negs.take(parents), evens.take(parents)]
+            for b in (0, 1):
+                keep[b] &= np.all(np.abs(sums[:shifts, b]) <= remaining, axis=0)
+        return [(masks << np.uint64(1)) | _BOTH_BITS[:, None], sums, kid_negs, kid_evens], keep
 
     def advance(nodes, k: int) -> list:
         """The children at entry k that survive pruning and, above `depth`, lie on a prefix.
@@ -169,32 +143,29 @@ def scan_partitions(
         Returns them as one frontier, or as two halves when they number more than
         `FRONTIER_CAP`; each half is gathered on its own, so neither keeps the
         other's columns alive. Empties `nodes`, so the parents are freed before
-        the children are assigned.
+        the children are gathered.
         """
-        keep = children(nodes, k)
+        kids, keep = children(nodes, k)
+        nodes.clear()
         if k < depth:
             # child c holds the leaves from c << shift on; it lies on a prefix
             # when the first partition starting there starts under c
             shift = np.uint64(m - 1 - k)
-            child = (nodes[0] << np.uint64(1)) | _BOTH_BITS[:, None]
-            at = np.minimum(np.searchsorted(starts, child << shift), count - 1)
-            keep &= starts[at] >> shift == child
-        parents = np.flatnonzero(keep.T)  # child b of node i is 2i+b
-        bits = parents.astype(np.uint8) & np.uint8(1)  # the low byte keeps the bit
-        parents >>= 1
-        n = len(parents)
+            at = np.minimum(np.searchsorted(starts, kids[0] << shift), count - 1)
+            keep &= starts[at] >> shift == kids[0]
+        width = keep.shape[1]
+        # child b of node i is 2i+b, so the rows stay in order, and it is column b*N + i
+        # of each kid array; built in place, as each temporary raised the peak RSS
+        cols = np.flatnonzero(keep.T)
+        offsets = cols & 1
+        offsets *= width
+        cols >>= 1
+        cols += offsets
+        del offsets
+        n = len(cols)
         bounds = ((0, n // 2), (n // 2, n)) if n > FRONTIER_CAP else ((0, n),)
-        halves = [(gather(nodes, k, parents[a:b]), bits[a:b]) for a, b in bounds]
-        nodes.clear()
-        for kids, kid_bits in halves:
-            assign(kids, k, kid_bits)
-        return [kids for kids, _ in halves]
-
-    def credit(totals: np.ndarray, part: np.ndarray) -> None:
-        """Add one to totals[i] for every entry i of the sorted partition indices."""
-        if len(part):
-            counts = np.bincount(part - part[0])
-            totals[part[0] : part[0] + len(counts)] += counts
+        return [[kid.reshape(*kid.shape[:-2], 2 * width).take(cols[a:b], axis=-1) for kid in kids]
+                for a, b in bounds]
 
     def close(nodes) -> None:
         """Credit the leaves to their partitions and record the flat and sampled ones.
@@ -203,16 +174,18 @@ def scan_partitions(
         leaves are freed before their partitions are yielded.
         """
         # entry m-1's row-sum window and quota already admit only admissible, balanced rows
-        masks, window, partial, _, _ = nodes
+        masks, partial, _, _ = nodes
         nodes.clear()
-        part = np.searchsorted(starts, masks, side="right") - 1
-        credit(reached, part)
-        first = _leading_signs(masks, m, half)  # entries 0 to half-1, long out of the window
+        part = np.searchsorted(starts, masks, side="right") - 1  # sorted, as the masks are
+        counts = np.bincount(part - part[0])  # the caller closes only non-empty frontiers
+        reached[part[0] : part[0] + len(counts)] += counts
+        last = _mask_signs(masks, half)  # row u is entry m-1-u
+        head = _mask_signs(masks >> np.uint64(m - half), half)  # row t is entry half-1-t
         flat = np.arange(len(masks))  # the leaves whose shifts so far sum to 0
         for s in range(1, half + 1):
-            # entries m-s.. wrap onto entries ..s-1; window row u holds entry m-1-u,
-            # which pairs with entry s-1-u; each sum is at most m <= 64
-            wrap = np.einsum("ij,ij->j", window[:s, flat], first[s - 1 :: -1, flat])
+            # entries m-s.. wrap onto entries ..s-1: row u of last, entry m-1-u, pairs
+            # with entry s-1-u, row half-s+u of head; each sum is at most m <= 64
+            wrap = np.einsum("ij,ij->j", last[:s, flat], head[half - s :, flat])
             flat = flat[partial[s - 1, flat] + wrap == 0]
         for mask, i in zip(masks[flat].tolist(), part[flat].tolist()):
             found[i].append(mask)
@@ -234,8 +207,8 @@ def scan_partitions(
 
     # The scan starts from the empty row, one node. Partial sums and counts never
     # exceed m <= 64 in size, so int8 holds them.
-    root = [np.zeros(1, dtype=np.uint64),
-            *(np.zeros(shape, dtype=np.int8) for shape in ((half, 1), (half, 1), 1, 1))]
+    root = [np.zeros(1, dtype=np.uint64), np.zeros((half, 1), dtype=np.int8),
+            np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.int8)]
     pending = [(0, root)] if count else []
 
     done = 0

@@ -332,6 +332,41 @@ def test_recover_and_verify_use_the_header_listing(tmp_path, capsys):
     assert payload["rg"] == {"group": "C2xC8xC4", "rg_matrix": True, "listing": list(doc.listing)}
 
 
+@pytest.mark.parametrize("construct, group", [
+    (["--family", "c4"], "C4"),
+    (["--family", "c2c2"], "C2xC2"),
+    (["--family", "c2c8"], "C2xC8"),
+    (["--family", "q8c2"], "Q8xC2"),
+    (["--family", "c2c8", "--extend", "c4", "--times", "1"], "C2xC8xC4"),
+], ids=["c4", "c2c2", "c2c8", "q8c2", "c2c8xc4"])
+def test_json_matrix_documents_read_back_like_text(tmp_path, capsys, construct, group):
+    outputs = {}
+    for fmt in ("text", "json"):
+        path = str(tmp_path / f"matrix.{fmt}")
+        assert main(["construct", *construct, "--format", fmt, "--out", path]) == 0
+        outputs[fmt] = [(main(argv), capsys.readouterr().out)
+                        for argv in (["verify", path], ["recover", "--file", path, "--group", group])]
+    assert outputs["json"] == outputs["text"]
+    assert [code for code, _ in outputs["json"]] == [0, 0]
+
+
+@pytest.mark.parametrize("text", [
+    '{"format": "matrix", "rows": ["+++-", "-+++", "+-+", "++-+"]}',
+    '{"format": "matrix", "rows": ["+++-", "-+x+", "+-++", "++-+"]}',
+    '{"format": "matrix", "order": 8, "rows": ["+++-", "-+++", "+-++", "++-+"]}',
+    '{"format": "matrix", "order": true, "rows": ["+++-", "-+++", "+-++", "++-+"]}',
+    '{"report": "recover", "found": true}',
+    '{"format": "matrix",\n "rows": ["+++-", ',
+], ids=["ragged", "bad-character", "wrong-order", "boolean-order", "not-a-matrix", "broken-json"])
+def test_malformed_json_matrix_document_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["verify", str(path)], ["recover", "--file", str(path), "--group", "C4"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def without_listing_header(path):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if not line.startswith("listing:")))

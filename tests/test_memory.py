@@ -8,9 +8,10 @@ verify 1024 about 8 MB against 31 MB, construct 1024 about 8 MB against 15 MB,
 and the order-16 crosscheck search about 3.4 MB against 10 MB. Listing recovery
 of the 1024 file without its header peaks at about 10 MB with coded rows and
 bitmasks, against about 55 MB with the matrix and group table as Python lists.
-The serial order-20 search peaks at about 1.6 MB with the kernel's frontier of
-16384 nodes holding only the live sign window, each half gathered on its own,
-against 2.6 MB with all m sign rows per node and split halves kept as views.
+The serial order-20 search peaks at about 1.3 MB with the kernel's frontier of
+16384 nodes whose masks are their only sign record (m/2 + 10 bytes a node),
+each half gathered on its own, against 2.6 MB with all m sign rows per node
+and split halves kept as views.
 """
 
 import tracemalloc

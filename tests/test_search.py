@@ -238,10 +238,16 @@ def test_leaf_signs_and_flatness_match_the_python_paf(m):
         rng = random.Random(m)
         masks = sorted({rng.getrandbits(m) | 1 << (m - 1) for _ in range(20)}
                        | {rng.getrandbits(m) for _ in range(20)} | {0, 1, (1 << m) - 1})
-    for count in (m // 2, m):
-        expected = np.array([mask_to_signs(mask, m)[:count] for mask in masks]).reshape(len(masks), count).T
-        got = _npkernel._leading_signs(np.array(masks, dtype=np.uint64), m, count)
-        assert got.dtype == np.int8 and np.array_equal(got, expected)
+    # the leaves read bits 0 to half-1 and, shifted down by m - half, the first half of
+    # the row; 32 bits from bit 0 (all bits below order 6) also reach bit 31 at order 63
+    half = m // 2
+    for shift, count in ((0, min(m, 32)), (m - half, half)):
+        expected = np.array([[1 - 2 * (mask >> (shift + s) & 1) for s in range(count)] for mask in masks])
+        got = _npkernel._mask_signs(np.array(masks, dtype=np.uint64) >> np.uint64(shift), count)
+        assert got.dtype == np.int8 and np.array_equal(got, expected.reshape(len(masks), count).T)
+        # bit u of a leaf's mask is entry m-1-u of its row
+        entries = np.array([mask_to_signs(mask, m)[::-1][shift : shift + count] for mask in masks])
+        assert np.array_equal(got, entries.reshape(len(masks), count).T)
     if m == 4:
         assert [mask for mask in masks if paf_is_flat(mask, m)] == [1, 2, 4, 7, 8, 11, 13, 14]
     # every entry lies inside the prefix at depth m, all but the last at depth m - 1;
@@ -356,6 +362,20 @@ def test_workers_beyond_the_cpus_fork_one_child_per_cpu(monkeypatch):
     assert result.meta["workers"] == 10_000
     serial = search(SearchConfig(order=12, row_sum=False, partition_depth=6))
     assert result.deterministic_payload() == serial.deterministic_payload()
+
+
+def test_two_workers_on_one_cpu_scan_in_process(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a child"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    runs = {}
+    for workers in ("1", "2"):
+        checkpoint = tmp_path / f"workers{workers}.txt"
+        argv = ["search", "--order", "16", "--workers", workers, "--partition-depth", "4",
+                "--checkpoint", str(checkpoint)]
+        assert main(argv) == 0
+        stdout = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("time ")]
+        runs[workers] = (stdout, checkpoint.read_bytes())
+    assert runs["2"] == runs["1"]
 
 
 def test_crosscheck_runs_and_agrees(kernel):
