@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+import circhad.searchengine as engine
 from circhad import (
     SearchConfig,
     admissible_negative_counts,
@@ -251,14 +252,17 @@ def test_criterion_09_four_symmetric_odd_blocks_never_match():
             f"no perfect odd matching in any of the {systems} placements/sign assignments")
 
 
-def test_criterion_10_worker_determinism():
+def test_criterion_10_worker_determinism(monkeypatch):
     start = time.perf_counter()
     payloads = []
-    for workers in (1, 2, 8):
-        result = search(SearchConfig(order=16, workers=workers))
-        payloads.append(result.deterministic_payload())
-    assert payloads[0] == payloads[1] == payloads[2]
+    # forked from the start, and scanned in-process throughout
+    for fork_after in (0.0, math.inf):
+        monkeypatch.setattr(engine, "FORK_AFTER_S", fork_after)
+        for workers in (1, 2, 8):
+            result = search(SearchConfig(order=16, workers=workers))
+            payloads.append(result.deterministic_payload())
+    assert all(p == payloads[0] for p in payloads)
     blobs = {json.dumps(p, sort_keys=True) for p in payloads}
     assert len(blobs) == 1
     _report(10, time.perf_counter() - start, 60.0,
-            "order-16 search results bit-identical for 1, 2 and 8 workers")
+            "order-16 search results bit-identical for 1, 2 and 8 workers, forked or in-process")
