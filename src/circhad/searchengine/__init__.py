@@ -25,13 +25,13 @@ frontier, held node-minor with each node's signs kept only in its mask, and
 split into halves of at most `_npkernel.FRONTIER_CAP` nodes. It yields each
 partition's result in prefix order as soon as it is final, so a checkpoint
 line is written and flushed as each partition finishes, through one handle
-for the whole search. The scan starts in-process whatever the worker count.
-With N workers, once it has run for `FORK_AFTER_S` and k = min(N, partitions
-left, usable CPUs) exceeds 1, the in-process scan is closed and k forked
-children take the partitions left in round-robin shares, each scanned as one
-batched frontier, and stream every partition's result back as soon as it is
-final; the parent records them in partition order. A shorter search never
-forks, because forking costs more than it saves there.
+for the whole search. With N workers, when the pending partitions hold more
+than `FORK_ABOVE_ROWS` rows for the kernel and k = min(N, pending partitions,
+usable CPUs) exceeds 1, k forked children take the pending partitions in
+round-robin shares, each scanned as one batched frontier, and stream every
+partition's result back as soon as it is final; the parent records them in
+partition order. Else the scan runs in-process: on fewer rows, forking costs
+more than it saves.
 """
 
 from __future__ import annotations
@@ -62,12 +62,14 @@ KERNEL_BACKEND: str = _kernel.BACKEND
 # Rows left after the analytic stages above which a search needs allow_large.
 ENUMERATION_LIMIT = 1 << 28
 KERNEL_ORDER_LIMIT = MASK_BITS  # masks are uint64
-# Seconds a search with --workers > 1 scans in-process before it forks children for
-# the partitions left (BENCH_19.json). On 2 vCPUs, without the row-sum filter at
-# --partition-depth 6, forking from the start lost at order 22 (0.087 s against
-# 0.062 s for one worker) and won at order 24 (0.113 against 0.173 s), medians of 9.
-# The benchmark's order-20 searches (12-21 ms) stay below it.
-FORK_AFTER_S = 0.1
+# Rows left for the kernel above which a search with --workers > 1 forks children
+# (BENCH_19.json has the runs). Two workers at --partition-depth 6 on 2 vCPUs, medians
+# of 21 runs, in-process against forked from the start: 2^19 rows (order 20 without
+# the row-sum and balance filters) took 0.026 against 0.044 s, 2^21 rows (order 22)
+# 0.041 against 0.045 s, and 1.8 * 2^20 rows (order 24) 0.174 against 0.104 s. A row
+# costs more under --crosscheck 1, whose order-20 search (2^17 rows) would take
+# 0.046 s forked instead of 0.056 s.
+FORK_ABOVE_ROWS = 1 << 20
 
 
 @dataclass
@@ -308,10 +310,10 @@ def _scan_forked(
     through its own pipe; result i is read from child i % n. Children are forked,
     because a spawned one imports numpy afresh, which costs more than an order-20
     search. Even a fork costs more than a short search, so `search` calls this only
-    for the partitions still left after `FORK_AFTER_S` of in-process scanning.
-    A child leaves only through os._exit, so it never returns into the caller's
-    stack, and never flushes a file buffer it inherited. An exception a child sends
-    back is raised here, and so is a child's exit without a result.
+    when the pending partitions hold more than `FORK_ABOVE_ROWS` rows. A child
+    leaves only through os._exit, so it never returns into the caller's stack, and
+    never flushes a file buffer it inherited. An exception a child sends back is
+    raised here, and so is a child's exit without a result.
 
     No deadlock: the parent only blocks reading the child that holds the next
     partition, so that child's writes always drain. Other children may wait on a
@@ -414,24 +416,23 @@ def search(config: SearchConfig) -> SearchResult:
                 fh.write(_checkpoint_line(prefix, outcome) + "\n")
                 fh.flush()
 
-        scanned = _scan(todo, scan)
-        fork_at = t1 + FORK_AFTER_S if config.workers > 1 else math.inf
+        # the work left: the analytic count, taken as spread evenly over the partitions,
+        # of which the kernel scans half when row[0] is fixed
+        rows_left = (stage_counts["balance"] >> fixed) * len(todo) >> pdepth
+        children = 1  # a lone child only adds a pipe
+        if config.workers > 1 and rows_left > FORK_ABOVE_ROWS:
+            affinity = getattr(os, "sched_getaffinity", None)  # macOS lacks it
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            children = min(config.workers, len(todo), cpus)
         # one handle for the whole scan; each line is flushed whole, so it is in the
         # file before the next partition is asked for, and before any fork
         fh = checkpoint.open("a") if checkpoint is not None else None
         try:
-            for done in range(len(todo)):
-                if time.perf_counter() >= fork_at:
-                    # the CPUs are asked once, at the handoff; macOS lacks sched_getaffinity
-                    fork_at = math.inf
-                    affinity = getattr(os, "sched_getaffinity", None)
-                    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-                    children = min(config.workers, len(todo) - done, cpus)
-                    if children > 1:
-                        scanned.close()  # frees the frontier before the fork
-                        _scan_forked(todo[done:], scan, children, record)
-                        break
-                record(*next(scanned))
+            if children > 1:
+                _scan_forked(todo, scan, children, record)
+            else:
+                for prefix, outcome in _scan(todo, scan):
+                    record(prefix, outcome)
         finally:
             if fh is not None:
                 fh.close()

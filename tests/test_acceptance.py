@@ -255,9 +255,9 @@ def test_criterion_09_four_symmetric_odd_blocks_never_match():
 def test_criterion_10_worker_determinism(monkeypatch):
     start = time.perf_counter()
     payloads = []
-    # forked from the start, and scanned in-process throughout
-    for fork_after in (0.0, math.inf):
-        monkeypatch.setattr(engine, "FORK_AFTER_S", fork_after)
+    # every search forked, then every search in-process
+    for fork_above in (-1, math.inf):
+        monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", fork_above)
         for workers in (1, 2, 8):
             result = search(SearchConfig(order=16, workers=workers))
             payloads.append(result.deterministic_payload())

@@ -140,17 +140,17 @@ def partitioned_search(order, workers):
             "--workers", workers, "--checkpoint"]
 
 
-# FORK_AFTER_S values that keep a --workers > 1 search on one path from its start
-SCAN_PATHS = {"forked": 0.0, "in-process": math.inf}
+# FORK_ABOVE_ROWS values that send every --workers > 1 search down one path
+SCAN_PATHS = {"forked": -1, "in-process": math.inf}
 ORDERS_ON_BOTH_PATHS = [
-    pytest.param(order, fork_after, id=order if path == "forked" else f"{order}-{path}")
-    for path, fork_after in SCAN_PATHS.items() for order in ("4", "16")
+    pytest.param(order, fork_above, id=order if path == "forked" else f"{order}-{path}")
+    for path, fork_above in SCAN_PATHS.items() for order in ("4", "16")
 ]
 
 
-@pytest.mark.parametrize("order, fork_after", ORDERS_ON_BOTH_PATHS)
-def test_checkpoint_bytes_do_not_depend_on_workers(monkeypatch, tmp_path, capsys, order, fork_after):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", fork_after)
+@pytest.mark.parametrize("order, fork_above", ORDERS_ON_BOTH_PATHS)
+def test_checkpoint_bytes_do_not_depend_on_workers(monkeypatch, tmp_path, capsys, order, fork_above):
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", fork_above)
     files = []
     for workers in ("1", "2", "8"):
         path = tmp_path / f"workers{workers}.ckpt"
@@ -179,9 +179,9 @@ def test_crosschecked_checkpoint_bytes_are_pinned(tmp_path, capsys, argv, checke
     assert hashlib.sha256(partitions).hexdigest() == digest
 
 
-@pytest.mark.parametrize("order, fork_after", ORDERS_ON_BOTH_PATHS)
-def test_resume_from_half_checkpoint_with_two_workers(monkeypatch, tmp_path, capsys, order, fork_after):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", fork_after)
+@pytest.mark.parametrize("order, fork_above", ORDERS_ON_BOTH_PATHS)
+def test_resume_from_half_checkpoint_with_two_workers(monkeypatch, tmp_path, capsys, order, fork_above):
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", fork_above)
     unbroken = tmp_path / "unbroken.ckpt"
     expected = search_output(partitioned_search(order, "2") + [str(unbroken)], capsys)
     assert expected == search_output(["search", "--order", order, "--no-filter", "row_sum"], capsys)
@@ -514,7 +514,7 @@ def test_largest_printable_order_is_reported(capsys):
 
 
 def test_fault_inside_a_worker_process_exits_four(monkeypatch, capsys):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", -1)
     monkeypatch.setattr(engine, "_kernel", types.SimpleNamespace(BACKEND="faulty", scan_partitions=raises))
     assert main(["search", "--order", "12", "--no-filter", "row_sum", "--workers", "2"]) == 4
     err = capsys.readouterr().err
@@ -537,8 +537,8 @@ def test_partitions_finished_before_a_worker_fault_stay_in_the_checkpoint(monkey
     unbroken = tmp_path / "unbroken.ckpt"
     expected = search_output(partitioned_search("16", "2") + [str(unbroken)], capsys)
     lines = unbroken.read_text().splitlines(keepends=True)
-    for path, fork_after in SCAN_PATHS.items():
-        monkeypatch.setattr(engine, "FORK_AFTER_S", fork_after)
+    for path, fork_above in SCAN_PATHS.items():
+        monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", fork_above)
         faulted = tmp_path / f"faulted-{path}.ckpt"
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_kernel", fails_at(0x21))
@@ -568,8 +568,8 @@ def waits_for_the_checkpoint(path):
 def test_results_are_recorded_while_workers_run(monkeypatch, tmp_path, capsys):
     unbroken = tmp_path / "unbroken.ckpt"
     expected = search_output(partitioned_search("16", "2") + [str(unbroken)], capsys)
-    for path, fork_after in SCAN_PATHS.items():
-        monkeypatch.setattr(engine, "FORK_AFTER_S", fork_after)
+    for path, fork_above in SCAN_PATHS.items():
+        monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", fork_above)
         streamed = tmp_path / f"streamed-{path}.ckpt"
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_kernel", waits_for_the_checkpoint(streamed))
@@ -596,53 +596,7 @@ def test_each_line_is_in_the_checkpoint_before_the_next_partition_is_scanned(mon
     assert checkpoint.read_bytes() == unbroken.read_bytes()
 
 
-def test_two_workers_below_the_threshold_scan_in_process(monkeypatch, tmp_path, capsys):
-    one = tmp_path / "workers1.ckpt"
-    expected = search_output(partitioned_search("16", "1") + [str(one)], capsys)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a child"))
-    # a clock that never moves, so the scan never runs for FORK_AFTER_S
-    monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
-    two = tmp_path / "workers2.ckpt"
-    assert search_output(partitioned_search("16", "2") + [str(two)], capsys) == expected
-    assert two.read_bytes() == one.read_bytes()
-
-
-def logs_pids(log, clock):
-    """The numpy kernel, except that it logs each prefix with the pid of the process
-    that scanned it and moves `clock` on by one second per partition it yields."""
-    def scan_partitions(m, prefixes, *args):
-        for item in _npkernel.scan_partitions(m, prefixes, *args):
-            with log.open("a") as fh:
-                fh.write(f"{item[0]} {os.getpid()}\n")
-            clock[0] += 1.0
-            yield item
-    return types.SimpleNamespace(BACKEND=_npkernel.BACKEND, scan_partitions=scan_partitions)
-
-
-@pytest.mark.parametrize("handoff", [1, 33, 62])
-def test_a_handoff_after_k_partitions_gives_the_rest_to_children(monkeypatch, tmp_path, capsys, handoff):
-    unbroken = tmp_path / "unbroken.ckpt"
-    expected = search_output(partitioned_search("16", "1") + [str(unbroken)], capsys)
-    clock = [0.0]
-    log = tmp_path / "pids.txt"
-    monkeypatch.setattr(engine, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
-    monkeypatch.setattr(engine, "FORK_AFTER_S", handoff - 0.5)
-    monkeypatch.setattr(engine, "_kernel", logs_pids(log, clock))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    handed = tmp_path / "handed.ckpt"
-    assert search_output(partitioned_search("16", "2") + [str(handed)], capsys) == expected
-    assert handed.read_bytes() == unbroken.read_bytes()
-    pids = dict(tuple(map(int, line.split())) for line in log.read_text().splitlines())
-    assert sorted(pids) == list(range(64))
-    assert {pids[p] for p in range(handoff)} == {os.getpid()}
-    children = {pids[p] for p in range(handoff, 64)}
-    assert len(children) == 2 and os.getpid() not in children
-
-
-def test_workers_without_sched_getaffinity_count_the_cpus(monkeypatch, capsys):
-    # macOS has no os.sched_getaffinity
-    argv = ["search", "--order", "12", "--no-filter", "row_sum", "--workers"]
-    expected = search_output(argv + ["1"], capsys)
+def counts_forks(monkeypatch):
     forks = []
     real_fork = os.fork
 
@@ -650,10 +604,50 @@ def test_workers_without_sched_getaffinity_count_the_cpus(monkeypatch, capsys):
         forks.append(1)
         return real_fork()
 
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("margin, forks", [(-1, 2), (0, 0)], ids=["above", "at"])
+def test_workers_fork_only_for_more_rows_than_the_threshold(monkeypatch, tmp_path, capsys, margin, forks):
+    argv = ["search", "--order", "12", "--no-filter", "row_sum", "--partition-depth", "1",
+            "--checkpoint"]
+    one = tmp_path / "workers1.ckpt"
+    expected = search_output(argv + [str(one), "--workers", "1"], capsys)
+    # order 12 leaves 1280 rows past the balance stage; the kernel scans half, row[0] being fixed
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", 640 + margin)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked = counts_forks(monkeypatch)
+    two = tmp_path / "workers2.ckpt"
+    assert search_output(argv + [str(two), "--workers", "2"], capsys) == expected
+    assert two.read_bytes() == one.read_bytes()
+    assert len(forked) == forks
+
+
+def test_a_resumed_search_counts_only_the_rows_left(monkeypatch, tmp_path, capsys):
+    argv = ["search", "--order", "12", "--no-filter", "row_sum", "--partition-depth", "2",
+            "--workers", "2", "--checkpoint"]
+    unbroken = tmp_path / "unbroken.ckpt"
+    expected = search_output(argv + [str(unbroken)], capsys)
+    lines = unbroken.read_text().splitlines(keepends=True)
+    half = tmp_path / "half.ckpt"
+    half.write_text("".join(lines[:3]))  # the header and 2 of the 4 partitions
+    # 640 rows for the kernel in all, 320 in the 2 partitions left
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", 320)
+    forked = counts_forks(monkeypatch)
+    assert search_output(argv + [str(half)], capsys) == expected
+    assert half.read_bytes() == unbroken.read_bytes()
+    assert forked == []
+
+
+def test_workers_without_sched_getaffinity_count_the_cpus(monkeypatch, capsys):
+    # macOS has no os.sched_getaffinity
+    argv = ["search", "--order", "12", "--no-filter", "row_sum", "--workers"]
+    expected = search_output(argv + ["1"], capsys)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(engine, "FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", -1)
+    forks = counts_forks(monkeypatch)
     assert search_output(argv + ["2"], capsys) == expected
     assert len(forks) == 2
 
@@ -672,7 +666,7 @@ def deadline(seconds):
 
 
 def test_worker_that_dies_without_a_result_exits_four(monkeypatch, capsys):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", -1)
     parent = os.getpid()
 
     def dies(m, prefixes, *args):
@@ -697,7 +691,7 @@ def interrupted(m, prefixes, *args):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_interrupt_exits_130_without_a_traceback(monkeypatch, capsys, workers):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", -1)
     monkeypatch.setattr(engine, "_kernel", types.SimpleNamespace(BACKEND="stub", scan_partitions=interrupted))
     try:
         code = main(["search", "--order", "12", "--no-filter", "row_sum", "--workers", workers])
@@ -712,11 +706,9 @@ def test_sigint_ends_a_forked_search_with_130_and_the_checkpoint_resumes(tmp_pat
     argv = ["search", "--order", "28", "--no-filter", "row_sum", "--workers", "2",
             "--partition-depth", "8", "--checkpoint"]
     env = {**os.environ, "PYTHONPATH": str(Path(circhad.__file__).resolve().parents[1])}
-    # `python -m circhad`, except that the search hands every partition to the children
-    # before it scans any: so each checkpoint line waited for below came from a child
-    launcher = ("import sys, circhad.searchengine as engine; engine.FORK_AFTER_S = 0.0; "
-                "from circhad.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.Popen([sys.executable, "-c", launcher, *argv, str(checkpoint)], env=env,
+    # so the search forks from the start, and every checkpoint line waited for below came from a child
+    assert (engine._balance_count(28, None) >> 1) > engine.FORK_ABOVE_ROWS
+    proc = subprocess.Popen([sys.executable, "-m", "circhad", *argv, str(checkpoint)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         give_up = time.monotonic() + 60

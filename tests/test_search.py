@@ -286,7 +286,7 @@ def test_kernel_selection():
 
 
 def test_determinism_across_workers_and_partitions(monkeypatch):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", -1)
     payloads = [
         search(SearchConfig(order=12, row_sum=False, workers=w, partition_depth=d)).deterministic_payload()
         for w, d in ((1, None), (2, None), (8, None), (1, 0), (3, 5), (8, 8))
@@ -349,7 +349,7 @@ def test_no_prefixes_yield_nothing(module):
 
 
 def test_workers_beyond_the_cpus_fork_one_child_per_cpu(monkeypatch):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", -1)
     forks = []
     real_fork = os.fork
 
@@ -367,7 +367,7 @@ def test_workers_beyond_the_cpus_fork_one_child_per_cpu(monkeypatch):
 
 
 def test_two_workers_on_one_cpu_scan_in_process(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(engine, "FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", -1)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a child"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     runs = {}
