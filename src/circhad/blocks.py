@@ -9,6 +9,7 @@ implements those conditions as exact, reportable checkers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,29 +171,16 @@ class ConditionsReport:
         return self.balance_ok and all(self.parity_ok.values())
 
 
-def _difference_classes(system: BlockSystem, kind: str) -> dict[int, list[tuple[Pair, int]]]:
-    """Ordered same-kind pairs with their signs, by difference, each class in lexicographic order."""
-    positions = system.kind_positions(kind)
-    signs = [system.blocks[i].sign for i in positions]
-    m2 = system.block_count
-    classes: dict[int, list[tuple[Pair, int]]] = {}
-    for i, si in zip(positions, signs):
-        for j, sj in zip(positions, signs):
-            if i != j:
-                sign = -si * sj if kind == "odd" and i > j else si * sj  # as in pair_info
-                classes.setdefault((j - i) % m2, []).append(((i, j), sign))
-    return dict(sorted(classes.items()))
-
-
 def conditions_report(system: BlockSystem) -> ConditionsReport:
     """Balance, difference-parity and symmetry conditions of a block system."""
     evens = system.kind_positions("even")
     odds = system.kind_positions("odd")
     differences: dict[str, dict[int, int]] = {}
     parity_ok: dict[str, bool] = {}
-    for kind in ("even", "odd"):
-        counts = {d: len(members) for d, members in _difference_classes(system, kind).items()}
-        differences[kind] = counts
+    m2 = system.block_count
+    for kind, positions in (("even", evens), ("odd", odds)):
+        counts = Counter((j - i) % m2 for i in positions for j in positions if i != j)
+        differences[kind] = dict(sorted(counts.items()))
         parity_ok[kind] = all(c % 2 == 0 for c in counts.values())
     partners = [system.partner(i) for i in range(system.block_count)]
     all_symmetric = {
@@ -238,15 +226,20 @@ def matching_report(system: BlockSystem, kind: str) -> MatchReport:
     their conjugates when q is not p's own. What stays unused still balances
     (and at d = n is closed under conjugation), so no choice has to be undone:
     the matching is the first one an exhaustive backtracking in this order
-    would find. A class that does not balance is reported by its least pair.
-    Time is linear in the number of pairs.
+    would find. Classes are built in turn, and the first that does not balance
+    ends the check and is reported by its least pair. Time is linear in the
+    number of pairs. With c_k = (a_k + a_{k+2n})/2 and e_k = (a_k - a_{k+2n})/2
+    from the row a, the class-d sign sum is PAF_c(d) for even blocks and the
+    negacyclic NAF_e(d) for odd ones.
     """
     if kind not in ("even", "odd"):
         raise ValueError(f"unknown block kind {kind!r}")
+    m2 = system.block_count
+    positions = system.kind_positions(kind)
     matching: list[tuple[Pair, Pair]] = []
-    for d, members in _difference_classes(system, kind).items():
-        if d > system.n:
-            break  # handled as the mirror of class 2n-d
+    for d in range(1, system.n + 1):
+        ends = [(i, (i + d) % m2) for i in positions if system.blocks[(i + d) % m2].kind == kind]
+        members = [(p, pair_info(system, *p).sign) for p in ends]
         if sum(sign for _, sign in members) != 0:
             return MatchReport(
                 kind=kind,

@@ -59,7 +59,7 @@ def is_hadamard(m) -> GramReport:
         # Exact in any summation order: every partial sum is an integer of
         # magnitude <= n <= 2^24.
         g = f[start : start + GRAM_BLOCK_ROWS] @ f[start:].T
-        diag.update(int(x) for x in np.unique(np.diagonal(g)))
+        diag.update(map(int, np.diagonal(g).tolist()))
         np.fill_diagonal(g, 0)
         max_off = max(max_off, int(g.max()), int(-g.min()))
     return GramReport(

@@ -29,8 +29,9 @@ for the whole search. With N workers, when the pending partitions hold more
 than `FORK_ABOVE_ROWS` rows for the kernel and k = min(N, pending partitions,
 usable CPUs) exceeds 1, k forked children take the pending partitions in
 round-robin shares, each scanned as one batched frontier, and stream every
-partition's result back as soon as it is final; the parent records them in
-partition order. Else the scan runs in-process: on fewer rows, forking costs
+partition's result back as soon as it is final; `_scan_forked` yields them in
+partition order, as `_scan` does, and `search` records either stream in the
+same loop. Else the scan runs in-process: on fewer rows, forking costs
 more than it saves.
 """
 
@@ -46,7 +47,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -298,13 +299,11 @@ def _send_share(share: list[int], scan: tuple, fd: int) -> None:
                 pipe.flush()
         except BaseException as exc:
             pickle.dump(exc, pipe)
-            raise
 
 
-def _scan_forked(
-    todo: list[int], scan: tuple, n: int, record: Callable[[int, _PartitionOutcome], None]
-) -> None:
-    """`record(prefix, outcome)` for each of the sorted prefixes, in order, from n forked children.
+def _scan_forked(todo: list[int], scan: tuple, n: int):
+    """(prefix, outcome) for each of the sorted prefixes, in order, as `_scan` yields them,
+    from n children forked when the first result is asked for.
 
     Child w of n scans todo[w::n] as one batched frontier and streams its results
     through its own pipe; result i is read from child i % n. Children are forked,
@@ -319,7 +318,7 @@ def _scan_forked(
     partition, so that child's writes always drain. Other children may wait on a
     full pipe, but none waits on another child. Every pipe is closed and every
     child killed and reaped on the way out, whether the scan ends, faults or is
-    interrupted.
+    interrupted, or the generator is closed.
     """
     import signal  # here, because its enums add about 1 ms to every start-up
 
@@ -346,7 +345,7 @@ def _scan_forked(
                 raise RuntimeError(f"worker process {pid} exited without a result") from None
             if isinstance(item, BaseException):
                 raise item
-            record(*item)
+            yield item
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -410,12 +409,6 @@ def search(config: SearchConfig) -> SearchResult:
         scan = (m, pdepth + fixed, config.row_sum, adm_mask, config.balance,
                 config.paf_prefix, cc_threshold)
 
-        def record(prefix: int, outcome: _PartitionOutcome) -> None:
-            outcomes[prefix] = outcome
-            if fh is not None:
-                fh.write(_checkpoint_line(prefix, outcome) + "\n")
-                fh.flush()
-
         # the work left: the analytic count, taken as spread evenly over the partitions,
         # of which the kernel scans half when row[0] is fixed
         rows_left = (stage_counts["balance"] >> fixed) * len(todo) >> pdepth
@@ -427,13 +420,15 @@ def search(config: SearchConfig) -> SearchResult:
         # one handle for the whole scan; each line is flushed whole, so it is in the
         # file before the next partition is asked for, and before any fork
         fh = checkpoint.open("a") if checkpoint is not None else None
+        results = _scan_forked(todo, scan, children) if children > 1 else _scan(todo, scan)
         try:
-            if children > 1:
-                _scan_forked(todo, scan, children, record)
-            else:
-                for prefix, outcome in _scan(todo, scan):
-                    record(prefix, outcome)
+            for prefix, outcome in results:
+                outcomes[prefix] = outcome
+                if fh is not None:
+                    fh.write(_checkpoint_line(prefix, outcome) + "\n")
+                    fh.flush()
         finally:
+            results.close()
             if fh is not None:
                 fh.close()
 

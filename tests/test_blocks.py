@@ -13,6 +13,7 @@ from circhad import (
     conditions_report,
     matching_report,
     pair_info,
+    paf_is_flat,
     paired_listing,
     quadruple_remainders,
     rg_matrix,
@@ -315,6 +316,66 @@ def test_matching_witness_pairs_are_valid():
             seen.add(q)
         positions = system.kind_positions("odd")
         assert len(seen) == len(positions) * (len(positions) - 1)
+
+
+def half_sequences(row):
+    """c_k = (a_k + a_{k+2n})/2 and e_k = (a_k - a_{k+2n})/2 on C_2n: c is +-1 on the even
+    blocks and 0 elsewhere, e is +-1 on the odd blocks and 0 elsewhere."""
+    head, tail = np.split(np.asarray(row, dtype=np.int64), 2)
+    return (head + tail) // 2, (head - tail) // 2
+
+
+def periodic_af(c, d):
+    return int(np.dot(c, np.roll(c, -d)))
+
+
+def negacyclic_af(e, d):
+    # the products that wrap past the end of C_2n change sign
+    return int(np.dot(e[:-d], e[d:]) - np.dot(e[-d:], e[:d]))
+
+
+def class_sign_sum(system, kind, d):
+    positions = system.kind_positions(kind)
+    return sum(pair_info(system, i, j).sign for i in positions for j in positions
+               if i != j and (j - i) % system.block_count == d)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_class_sign_sums_are_half_sequence_autocorrelations(m):
+    for mask in range(1 << m):
+        row = mask_to_signs(mask, m)
+        system = block_system(row)
+        c, e = half_sequences(row)
+        for d in range(1, system.block_count):
+            assert class_sign_sum(system, "even", d) == periodic_af(c, d)
+            assert class_sign_sum(system, "odd", d) == negacyclic_af(e, d)
+
+
+def block_verdicts(m):
+    """(balanced, even kind matches, odd kind matches, flat PAF) of every order-m row."""
+    for mask in range(1 << m):
+        row = mask_to_signs(mask, m)
+        system = block_system(row)
+        yield (conditions_report(system).balance_ok,
+               matching_report(system, "even").perfect_matching_found,
+               matching_report(system, "odd").perfect_matching_found,
+               paf_is_flat(row))
+
+
+@pytest.mark.parametrize("m, flat", [(4, 8), (8, 0), (12, 0)])
+def test_balanced_matching_blocks_are_exactly_the_flat_rows(m, flat):
+    verdicts = list(block_verdicts(m))
+    assert all((balanced and even and odd) == is_flat for balanced, even, odd, is_flat in verdicts)
+    assert sum(is_flat for *_, is_flat in verdicts) == flat
+
+
+# order 16 gives 3072, 4480 and 128 in about 12 s
+@pytest.mark.parametrize("m, even, odd, both", [(8, 88, 144, 40), (12, 544, 688, 144)])
+def test_rows_whose_block_kinds_match(m, even, odd, both):
+    verdicts = [(e, o) for _, e, o, _ in block_verdicts(m)]
+    assert sum(e for e, _ in verdicts) == even
+    assert sum(o for _, o in verdicts) == odd
+    assert sum(e and o for e, o in verdicts) == both
 
 
 def analyze_digest(rows, layout):

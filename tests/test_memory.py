@@ -11,13 +11,21 @@ bitmasks, against about 55 MB with the matrix and group table as Python lists.
 The serial order-20 search peaks at about 1.3 MB with the kernel's frontier of
 16384 nodes whose masks are their only sign record (m/2 + 10 bytes a node),
 each half gathered on its own, against 2.6 MB with all m sign rows per node
-and split halves kept as views.
+and split halves kept as views. Block analysis of a random order-1024 row peaks
+at about 0.64 MB when each difference class is built as it is checked, against
+8.1 MB with every ordered same-kind pair and its sign built first.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import circhad
 from circhad.cli import main
 
 MB = 1 << 20
@@ -73,3 +81,22 @@ def test_search_order20_peak(capsys):
     peak = traced_peak(ORDER_20)
     assert '"paf_prefix": 25128' in capsys.readouterr().out
     assert peak < 2.1 * MB, f"order-20 search peaked at {peak / MB:.2f} MB"
+
+
+def test_analyze_large_row_peak(capsys):
+    signs = np.random.default_rng(3).choice(["+", "-"], 1024)
+    peak = traced_peak(["analyze", "--row=" + "".join(signs), "--format", "json"], expected_exit=1)
+    assert '"perfect_matching_found": false' in capsys.readouterr().out
+    assert peak < 2 * MB, f"analyze peaked at {peak / MB:.2f} MB"
+
+
+def test_verify_does_not_import_numpy_ma(m1024_file):
+    # np.unique's first call imports numpy.ma, which costs a fresh process about 2 MB;
+    # numpy before 2.0 imports it with numpy itself
+    code = ("import sys, numpy; before = 'numpy.ma' in sys.modules; from circhad.cli import main; "
+            f"code = main(['verify', {m1024_file!r}]); print(code, before, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(circhad.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    exit_code, before, after = proc.stdout.split()[-3:]
+    assert (exit_code, after) == ("0", before), proc.stdout + proc.stderr
