@@ -9,7 +9,6 @@ implements those conditions as exact, reportable checkers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,11 +176,12 @@ def conditions_report(system: BlockSystem) -> ConditionsReport:
     odds = system.kind_positions("odd")
     differences: dict[str, dict[int, int]] = {}
     parity_ok: dict[str, bool] = {}
-    m2 = system.block_count
-    for kind, positions in (("even", evens), ("odd", odds)):
-        counts = Counter((j - i) % m2 for i in positions for j in positions if i != j)
-        differences[kind] = dict(sorted(counts.items()))
-        parity_ok[kind] = all(c % 2 == 0 for c in counts.values())
+    even = np.equal(*np.reshape(system.source_row, (2, -1))).astype(np.int64)  # a[:2n] == a[2n:]
+    for kind, s in (("even", even), ("odd", 1 - even)):
+        # its ordered pairs at difference d: the cyclic autocorrelation at d of its 0/1 indicator
+        counts = np.correlate(np.tile(s, 2), s, "valid")[1:-1].tolist()
+        differences[kind] = {d: c for d, c in enumerate(counts, start=1) if c}
+        parity_ok[kind] = all(c % 2 == 0 for c in counts)
     partners = [system.partner(i) for i in range(system.block_count)]
     all_symmetric = {
         kind: all(partners[i] is not None for i in positions)

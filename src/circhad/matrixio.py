@@ -165,7 +165,7 @@ def _conditions_payload(report: ConditionsReport) -> dict:
         "balance_ok": report.balance_ok,
         "differences": {k: {str(d): c for d, c in v.items()} for k, v in report.differences.items()},
         "parity_ok": report.parity_ok,
-        "symmetric_partner": [p if p is not None else None for p in report.symmetric_partner],
+        "symmetric_partner": list(report.symmetric_partner),
         "all_symmetric": report.all_symmetric,
     }
 

@@ -20,19 +20,15 @@ The inner scan runs on a vectorised numpy kernel; its pure-Python twin in
 alone asks the gram oracle, which judges the rows a kernel sampled for the
 cross-check and re-verifies every found row.
 
-The pending partitions go to the kernel's `scan_partitions` as one batched
-frontier, held node-minor with each node's signs kept only in its mask, and
-split into halves of at most `_npkernel.FRONTIER_CAP` nodes. It yields each
-partition's result in prefix order as soon as it is final, so a checkpoint
-line is written and flushed as each partition finishes, through one handle
-for the whole search. With N workers, when the pending partitions hold more
-than `FORK_ABOVE_ROWS` rows for the kernel and k = min(N, pending partitions,
-usable CPUs) exceeds 1, k forked children take the pending partitions in
-round-robin shares, each scanned as one batched frontier, and stream every
-partition's result back as soon as it is final; `_scan_forked` yields them in
-partition order, as `_scan` does, and `search` records either stream in the
-same loop. Else the scan runs in-process: on fewer rows, forking costs
-more than it saves.
+A unit engine runs the enumeration, and knows nothing of kernels. A path hands
+`_run_units` its number of units, a work function that yields (unit, outcome)
+in unit order, the cost of the pending units, and a parser of its outcomes'
+checkpoint fields. The engine reads the checkpoint, runs the pending units
+in-process, or in forked children (`_scan_forked`) when their cost exceeds
+`FORK_ABOVE_ROWS` and more than one worker has a CPU and a unit, and writes and
+flushes one CRC'd line per unit as its result arrives. The plain scan is its one
+path: a unit is a row prefix, the work one batched kernel frontier over the
+pending prefixes (`scan_partitions`), and the cost the rows left for the kernel.
 """
 
 from __future__ import annotations
@@ -197,20 +193,53 @@ class _PartitionOutcome:
     crosschecked: int
     mismatches: int
 
+    def fields(self) -> str:
+        masks = ",".join(f"0x{mask:x}" for mask in self.found_masks)
+        return (
+            f"survivors={len(self.found_masks)} reached={self.reached} "
+            f"crosschecked={self.crosschecked} mismatches={self.mismatches} masks={masks}"
+        )
 
-_CHECKPOINT_FIELDS = ["prefix", "survivors", "reached", "crosschecked", "mismatches", "masks", "crc"]
+    @classmethod
+    def parse(cls, text: str) -> _PartitionOutcome:
+        """Inverse of `fields`; raises ValueError unless all fields are there, in order, and agree."""
+        pairs = [part.split("=", 1) for part in text.split()]
+        names = ["survivors", "reached", "crosschecked", "mismatches", "masks"]
+        if [pair[0] for pair in pairs] != names or any(len(pair) != 2 for pair in pairs):
+            raise ValueError("expected the fields " + ", ".join(names))
+        survivors, reached, crosschecked, mismatches, masks = (value for _, value in pairs)
+        found_masks = [int(x, 16) for x in masks.split(",") if x]
+        if int(survivors) != len(found_masks):
+            raise ValueError(f"survivors={survivors} but {len(found_masks)} masks")
+        return cls(int(reached), found_masks, int(crosschecked), int(mismatches))
+
+
+def _scan(prefixes: list[int], scan: tuple):
+    """The plain path's work: (prefix, outcome) for each sorted prefix, in order, from one batched
+    kernel scan; a mismatch is a sampled row whose gram verdict disagrees with the found rows."""
+    m, depth, *filters = scan
+    for prefix, reached, found_masks, sampled in _kernel.scan_partitions(m, prefixes, depth, *filters):
+        found_masks = sorted(int(x) for x in found_masks)
+        mismatches = 0
+        if len(sampled):
+            flat = np.isin(sampled, np.array(found_masks, dtype=np.uint64))
+            mismatches = int(np.count_nonzero(_pykernel.gram_hadamard_batch(sampled, m) != flat))
+        yield prefix, _PartitionOutcome(int(reached), found_masks, len(sampled), mismatches)
+
+
+# -- the unit engine: it runs a path's work and keeps its checkpoint
+
 _CHECKPOINT_HEADER = "# circhad-checkpoint v3 "
 
 
-def _load_checkpoint(
-    path: Path, fingerprint: str, order: int, partitions: int
-) -> dict[int, _PartitionOutcome]:
-    """The partitions a checkpoint records as done; writes the header when the file is new.
+def _load_checkpoint(path: Path, fingerprint: str, order: int, units: int, parse) -> dict:
+    """The units a checkpoint records as done; writes the header when the file is new.
 
-    Lines are appended whole, newline last, and each ends with a CRC-32 of the
-    text before it. So a last line that is unterminated, incomplete or fails
-    its checksum is a write that never finished: it is cut from the file and
-    its partition is scanned again. A bad line anywhere else raises FormatError.
+    A line is `prefix=0x<unit> <fields> crc=<CRC-32 of the text before it>`, where
+    `parse` reads the path's fields, and it is appended whole, newline last. So a last
+    line that is unterminated, incomplete or fails its checksum is a write that never
+    finished: it is cut from the file and its unit is run again. A bad line anywhere
+    else raises FormatError.
     """
     text = path.read_bytes().decode() if path.exists() else ""
     if not text.strip():
@@ -223,101 +252,60 @@ def _load_checkpoint(
         raise ValueError(f"{path}: not a checkpoint file")
     if f"fingerprint={fingerprint}" not in lines[0]:
         raise ValueError(f"{path}: checkpoint was written for a different search configuration")
-    done: dict[int, _PartitionOutcome] = {}
+    done = {}
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
         try:
             if not line.endswith("\n"):
                 raise ValueError("line is not terminated")
-            prefix, outcome = _parse_checkpoint_line(line, partitions)
+            body, _, crc = line.rstrip().rpartition(" crc=")
+            if crc != _crc(body):
+                raise ValueError("line does not match its crc")
+            head, _, fields = body.partition(" ")
+            name, _, unit = head.partition("=")
+            if name != "prefix" or not 0 <= int(unit, 16) < units:
+                raise ValueError(f"{head} is not one of the {units} units")
+            done[int(unit, 16)] = parse(fields)
         except ValueError as exc:
             if number < len(lines):
                 raise FormatError(f"{path}: {exc}", number) from None
             os.truncate(path, len(text.encode()) - len(line.encode()))
-            break
-        done[prefix] = outcome
     return done
-
-
-def _parse_checkpoint_line(line: str, partitions: int) -> tuple[int, _PartitionOutcome]:
-    """Inverse of `_checkpoint_line`; raises ValueError unless all fields are there and agree."""
-    pairs = [part.split("=", 1) for part in line.split()]
-    if [pair[0] for pair in pairs] != _CHECKPOINT_FIELDS or any(len(pair) != 2 for pair in pairs):
-        raise ValueError("expected the fields " + ", ".join(_CHECKPOINT_FIELDS))
-    fields = dict(pairs)
-    if fields["crc"] != _crc(line[: line.rindex(" crc=")]):
-        raise ValueError("line does not match its crc")
-    prefix = int(fields["prefix"], 16)
-    masks = [int(x, 16) for x in fields["masks"].split(",") if x]
-    if not 0 <= prefix < partitions:
-        raise ValueError(f"prefix {fields['prefix']} is not one of the {partitions} partitions")
-    if int(fields["survivors"]) != len(masks):
-        raise ValueError(f"survivors={fields['survivors']} but {len(masks)} masks")
-    return prefix, _PartitionOutcome(
-        reached=int(fields["reached"]),
-        found_masks=masks,
-        crosschecked=int(fields["crosschecked"]),
-        mismatches=int(fields["mismatches"]),
-    )
 
 
 def _crc(text: str) -> str:
     return f"{zlib.crc32(text.encode()):08x}"
 
 
-def _checkpoint_line(prefix: int, outcome: _PartitionOutcome) -> str:
-    masks = ",".join(f"0x{mask:x}" for mask in outcome.found_masks)
-    body = (
-        f"prefix=0x{prefix:x} survivors={len(outcome.found_masks)} "
-        f"reached={outcome.reached} crosschecked={outcome.crosschecked} "
-        f"mismatches={outcome.mismatches} masks={masks}"
-    )
-    return f"{body} crc={_crc(body)}"
-
-
-def _scan(prefixes: list[int], scan: tuple):
-    """(prefix, outcome) for each of the sorted prefixes, in order, from one batched kernel scan;
-    a mismatch is a sampled row whose gram verdict differs from its membership in the found rows."""
-    m, depth, *filters = scan
-    for prefix, reached, found_masks, sampled in _kernel.scan_partitions(m, prefixes, depth, *filters):
-        found_masks = sorted(int(x) for x in found_masks)
-        mismatches = 0
-        if len(sampled):
-            flat = np.isin(sampled, np.array(found_masks, dtype=np.uint64))
-            mismatches = int(np.count_nonzero(_pykernel.gram_hadamard_batch(sampled, m) != flat))
-        yield prefix, _PartitionOutcome(int(reached), found_masks, len(sampled), mismatches)
-
-
-def _send_share(share: list[int], scan: tuple, fd: int) -> None:
-    """A child's work: pickle each (prefix, outcome) into `fd` as soon as it is final,
-    or the exception that stopped the scan."""
+def _send_share(share: list[int], work, fd: int) -> None:
+    """A child's work: pickle each (unit, outcome) of work(share) into `fd` as soon as it
+    is final, or the exception that stopped the work."""
     with open(fd, "wb") as pipe:
         try:
-            for item in _scan(share, scan):
+            for item in work(share):
                 pickle.dump(item, pipe)
                 pipe.flush()
         except BaseException as exc:
             pickle.dump(exc, pipe)
 
 
-def _scan_forked(todo: list[int], scan: tuple, n: int):
-    """(prefix, outcome) for each of the sorted prefixes, in order, as `_scan` yields them,
+def _scan_forked(units: list[int], work, n: int):
+    """(unit, outcome) for each of the sorted units, in order, as work(units) yields them,
     from n children forked when the first result is asked for.
 
-    Child w of n scans todo[w::n] as one batched frontier and streams its results
-    through its own pipe; result i is read from child i % n. Children are forked,
-    because a spawned one imports numpy afresh, which costs more than an order-20
-    search. Even a fork costs more than a short search, so `search` calls this only
-    when the pending partitions hold more than `FORK_ABOVE_ROWS` rows. A child
-    leaves only through os._exit, so it never returns into the caller's stack, and
-    never flushes a file buffer it inherited. An exception a child sends back is
-    raised here, and so is a child's exit without a result.
+    Child w of n runs work(units[w::n]) and streams its results through its own
+    pipe; result i is read from child i % n. Children are forked, because a spawned
+    one imports numpy afresh, which costs more than an order-20 search; even a fork
+    costs more than short work, hence `FORK_ABOVE_ROWS`. A child leaves only through
+    os._exit, so it never returns into the caller's stack, and never flushes a file
+    buffer it inherited. An exception a child sends back is raised here, and so is a
+    child's exit without a result.
 
     No deadlock: the parent only blocks reading the child that holds the next
-    partition, so that child's writes always drain. Other children may wait on a
+    unit, so that child's writes always drain. Other children may wait on a
     full pipe, but none waits on another child. Every pipe is closed and every
-    child killed and reaped on the way out, whether the scan ends, faults or is
+    child killed and reaped on the way out, whether the work ends, faults or is
     interrupted, or the generator is closed.
     """
     import signal  # here, because its enums add about 1 ms to every start-up
@@ -332,12 +320,12 @@ def _scan_forked(todo: list[int], scan: tuple, n: int):
                     os.close(reader)
                     for _, pipe in children:
                         pipe.close()
-                    _send_share(todo[w::n], scan, writer)
+                    _send_share(units[w::n], work, writer)
                 finally:
                     os._exit(0)
             os.close(writer)
             children.append((pid, open(reader, "rb")))
-        for i in range(len(todo)):
+        for i in range(len(units)):
             pid, pipe = children[i % n]
             try:
                 item = pickle.load(pipe)
@@ -352,6 +340,40 @@ def _scan_forked(todo: list[int], scan: tuple, n: int):
             os.kill(pid, signal.SIGKILL)
         for pid, _ in children:
             os.waitpid(pid, 0)
+
+
+def _run_units(units: int, work, cost, parse, config: SearchConfig, fingerprint: str) -> dict:
+    """Each unit in range(units) with its outcome, from the checkpoint or from work(pending),
+    a generator of (unit, outcome) in unit order; `parse` reads back an outcome's `fields()`.
+    Work is never asked for no units, nor forked unless `cost(pending)` > `FORK_ABOVE_ROWS`."""
+    checkpoint = None if config.checkpoint_path is None else Path(config.checkpoint_path)
+    done = {}
+    if checkpoint is not None:
+        done = _load_checkpoint(checkpoint, fingerprint, config.order, units, parse)
+    pending = [unit for unit in range(units) if unit not in done]
+    if not pending:
+        return done
+    children = 1  # a lone child only adds a pipe
+    if config.workers > 1 and cost(pending) > FORK_ABOVE_ROWS:
+        affinity = getattr(os, "sched_getaffinity", None)  # macOS lacks it
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        children = min(config.workers, len(pending), cpus)
+    # one handle for the whole run; each line is flushed whole, so it is in the
+    # file before the next unit is asked for, and before any fork
+    fh = checkpoint.open("a") if checkpoint is not None else None
+    results = _scan_forked(pending, work, children) if children > 1 else work(pending)
+    try:
+        for unit, outcome in results:
+            done[unit] = outcome
+            if fh is not None:
+                body = f"prefix=0x{unit:x} {outcome.fields()}"
+                fh.write(f"{body} crc={_crc(body)}\n")
+                fh.flush()
+    finally:
+        results.close()
+        if fh is not None:
+            fh.close()
+    return done
 
 
 def search(config: SearchConfig) -> SearchResult:
@@ -398,39 +420,17 @@ def search(config: SearchConfig) -> SearchResult:
     t_analytic = time.perf_counter() - t0
     t1 = time.perf_counter()
 
-    outcomes: dict[int, _PartitionOutcome] = {}
-    checkpoint = None
-    if config.checkpoint_path is not None:
-        checkpoint = Path(config.checkpoint_path)
-        fingerprint = _config_fingerprint(config, pdepth)
-        outcomes.update(_load_checkpoint(checkpoint, fingerprint, m, 1 << pdepth))
-    if must_enumerate:
-        todo = [p for p in range(1 << pdepth) if p not in outcomes]
-        scan = (m, pdepth + fixed, config.row_sum, adm_mask, config.balance,
-                config.paf_prefix, cc_threshold)
-
+    scan = (m, pdepth + fixed, config.row_sum, adm_mask, config.balance, config.paf_prefix, cc_threshold)
+    outcomes: dict[int, _PartitionOutcome] = _run_units(
+        (1 << pdepth) if must_enumerate else 0,  # no unit, so no kernel, when nothing is left
+        lambda prefixes: _scan(prefixes, scan),
         # the work left: the analytic count, taken as spread evenly over the partitions,
         # of which the kernel scans half when row[0] is fixed
-        rows_left = (stage_counts["balance"] >> fixed) * len(todo) >> pdepth
-        children = 1  # a lone child only adds a pipe
-        if config.workers > 1 and rows_left > FORK_ABOVE_ROWS:
-            affinity = getattr(os, "sched_getaffinity", None)  # macOS lacks it
-            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-            children = min(config.workers, len(todo), cpus)
-        # one handle for the whole scan; each line is flushed whole, so it is in the
-        # file before the next partition is asked for, and before any fork
-        fh = checkpoint.open("a") if checkpoint is not None else None
-        results = _scan_forked(todo, scan, children) if children > 1 else _scan(todo, scan)
-        try:
-            for prefix, outcome in results:
-                outcomes[prefix] = outcome
-                if fh is not None:
-                    fh.write(_checkpoint_line(prefix, outcome) + "\n")
-                    fh.flush()
-        finally:
-            results.close()
-            if fh is not None:
-                fh.close()
+        lambda prefixes: (stage_counts["balance"] >> fixed) * len(prefixes) >> pdepth,
+        _PartitionOutcome.parse,
+        config,
+        _config_fingerprint(config, pdepth),
+    )
 
     t_enumeration = time.perf_counter() - t1
     t2 = time.perf_counter()

@@ -61,8 +61,8 @@ def scan_subtree(
 ):
     """`scan_partitions` of the one prefix, as (reached, found_masks, sampled_masks).
 
-    Only the benchmark's tracer calls it, as its hook into the kernel, until the
-    benchmark traces `scan_partitions` itself (ROADMAP item 1).
+    The benchmark's tracer hooks into the kernel here, until it traces
+    `scan_partitions` itself (ROADMAP item 1); a test also compares the two.
     """
     ((_, *result),) = scan_partitions(
         m, [prefix], depth, row_sum_on, adm_mask, balance_on, paf_prefix_on, cc_threshold

@@ -192,6 +192,42 @@ def test_resume_from_half_checkpoint_with_two_workers(monkeypatch, tmp_path, cap
     # the lines that were kept stay as they were, and the missing ones follow in order
     assert half.read_text() == "".join(lines[:1] + lines[1::2] + lines[2::2])
 
+# sha256 of each order's grid in test_search_bytes_are_pinned, as search wrote it before it ran on
+# the unit engine
+PINNED_SEARCH_DIGESTS = {
+    4: "d5522fa589cd2ba07e89c5ec2961bc71bc4210d5ed218b6142bf4b862855a9a0",
+    8: "1abee611563c3df7ab860d80707790ad78f99334bb2239a69b334bd71838e1c9",
+    12: "86bee5ee7e9bdc3bf34b28b8d900b144a20b63b82eee178380bc19d59f8f495e",
+    16: "5f3f788e5baf2a945754a92e566dc36e2df66f67b8bc4d4acec45c0abf476108",
+    20: "225ce7c578a4faf71bce3cf60d1e76307900ead0e100362e43b77c9b26a5eb9b",
+    24: "ab02bd80fa594181e4a6c75901f15cfb469bffe597325bc2406fb09ad2def5a0",
+}
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_SEARCH_DIGESTS))
+def test_search_bytes_are_pinned(monkeypatch, tmp_path, capsys, order):
+    # stdout without its time lines, JSON without its timings and the checkpoint file, fresh,
+    # checkpointed and resumed from every other line, with and without the row-sum filter, on
+    # 1 and 2 workers; at orders 12, 20 and 24 also with every 2-worker search forked
+    digest = hashlib.sha256()
+    grid = [(engine.FORK_ABOVE_ROWS, workers) for workers in ("1", "2")]
+    if order in (12, 20, 24):
+        grid.append((-1, "2"))
+    for (fork_above, workers), filters in itertools.product(grid, ([], ["--no-filter", "row_sum"])):
+        monkeypatch.setattr(engine, "FORK_ABOVE_ROWS", fork_above)
+        argv = ["search", "--order", str(order), *filters, "--workers", workers]
+        path = tmp_path / f"{fork_above}-{workers}-{len(filters)}.ckpt"
+        for extra in ([], ["--checkpoint", str(path)]):
+            digest.update(search_output(argv + extra, capsys).encode())
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[1::2]))
+        assert main(argv + ["--checkpoint", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["timings"]
+        digest.update(json.dumps(payload, sort_keys=True).encode() + path.read_bytes())
+    assert digest.hexdigest() == PINNED_SEARCH_DIGESTS[order]
+
+
 def test_analyze_balanced_row(capsys):
     assert main(["analyze", "--row", "+++-"]) == 0
     out = capsys.readouterr().out

@@ -553,6 +553,27 @@ def test_checkpoint_rejects_bad_line_before_the_last(tmp_path, corrupt):
         search(config)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        "survivors=1 reached=3 crosschecked=0 mismatches=0 masks=",
+        "reached=3 survivors=0 crosschecked=0 mismatches=0 masks=",
+        "survivors=0 reached=3 crosschecked=0 mismatches=0",
+    ],
+    ids=["survivors", "order", "missing"],
+)
+def test_checkpoint_refuses_partition_fields_that_disagree(tmp_path, fields):
+    # the line's crc matches, so only the plain scan's parser can refuse it
+    path = tmp_path / "search.ckpt"
+    config = SearchConfig(order=12, row_sum=False, checkpoint_path=path, partition_depth=3)
+    search(config)
+    lines = path.read_text().splitlines(keepends=True)
+    body = f"prefix=0x0 {fields}"
+    path.write_text("".join([lines[0], f"{body} crc={engine._crc(body)}\n", *lines[2:]]))
+    with pytest.raises(FormatError):
+        search(config)
+
+
 def order4_resume_argv(path):
     # the CLI form of SearchConfig(order=4, row_sum=False, partition_depth=2, checkpoint_path=path)
     return ["search", "--order", "4", "--no-filter", "row_sum", "--partition-depth", "2",
