@@ -192,6 +192,7 @@ def test_resume_from_half_checkpoint_with_two_workers(monkeypatch, tmp_path, cap
     # the lines that were kept stay as they were, and the missing ones follow in order
     assert half.read_text() == "".join(lines[:1] + lines[1::2] + lines[2::2])
 
+
 # sha256 of each order's grid in test_search_bytes_are_pinned, as search wrote it before it ran on
 # the unit engine
 PINNED_SEARCH_DIGESTS = {
