@@ -1,10 +1,13 @@
 """Two-by-two block systems of paired-listed circulant rows and their combinatorics.
 
-A length-4n sign row, read against the paired listing, tiles its matrix into 2n
-blocks of the shape [[a, b], [b, a]]. Blocks are classified even (a == b) or odd
-(a != b) with a sign, and the orthogonality of the full matrix translates into
-finite conditions on block differences, pair signs and matchings. This module
-implements those conditions as exact, reportable checkers.
+A length-4n sign row a, read against the paired listing, tiles its matrix into
+2n blocks [[a_k, a_{k+2n}], [a_{k+2n}, a_k]]: even when the entries agree, odd
+when they differ, with the sign a_k. Orthogonality of the matrix becomes finite
+conditions on block differences, pair signs and matchings, each checked exactly
+off the half sequences on C_2n: the 0/1 indicator S of the even blocks, c_k =
+(a_k + a_{k+2n})/2 and e_k = (a_k - a_{k+2n})/2. Same-kind pairs at difference
+d number the autocorrelation at d of S or 1 - S, and their signs sum to
+PAF_c(d) for even blocks and NAF_e(d) for odd ones.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groupring import SignMatrix
+from .hadamard import _autocorrelation
 from .signs import all_signs
 
 Pair = tuple[int, int]
@@ -95,10 +99,18 @@ def block_system(row, layout: str = "natural") -> BlockSystem:
     return BlockSystem(n=row.size // 4, blocks=blocks, source_row=tuple(int(x) for x in row))
 
 
+def _halves(system: BlockSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, c, e): c and e hold the even and the odd blocks' signs, 0 on the other kind."""
+    head, tail = np.array(system.source_row).reshape(2, -1)
+    return (head == tail).astype(np.int64), (head + tail) // 2, (head - tail) // 2
+
+
 def row_from_blocks(kinds, signs) -> np.ndarray:
     """Natural-order row whose block system has the given kinds and signs."""
     if len(kinds) != len(signs) or len(kinds) % 2 != 0:
         raise ValueError("need an even number of (kind, sign) pairs")
+    if not all_signs(signs):
+        raise ValueError("block signs must all be +1 or -1")
     half = len(kinds)
     row = np.empty(2 * half, dtype=np.int64)
     for k, (kind, sign) in enumerate(zip(kinds, signs)):
@@ -138,8 +150,14 @@ class PairInfo:
     sign: int
 
 
+def _check_indices(system: BlockSystem, *indices: int) -> None:
+    if not all(0 <= idx < system.block_count for idx in indices):
+        raise ValueError(f"block indices {indices} must lie in 0..{system.block_count - 1}")
+
+
 def pair_info(system: BlockSystem, i: int, j: int) -> PairInfo:
     """Difference and sign of the ordered same-kind pair (i, j)."""
+    _check_indices(system, i, j)
     if i == j:
         raise ValueError("pair indices must be distinct")
     bi, bj = system.blocks[i], system.blocks[j]
@@ -172,26 +190,22 @@ class ConditionsReport:
 
 def conditions_report(system: BlockSystem) -> ConditionsReport:
     """Balance, difference-parity and symmetry conditions of a block system."""
-    evens = system.kind_positions("even")
-    odds = system.kind_positions("odd")
-    differences: dict[str, dict[int, int]] = {}
-    parity_ok: dict[str, bool] = {}
-    even = np.equal(*np.reshape(system.source_row, (2, -1))).astype(np.int64)  # a[:2n] == a[2n:]
-    for kind, s in (("even", even), ("odd", 1 - even)):
-        # its ordered pairs at difference d: the cyclic autocorrelation at d of its 0/1 indicator
-        counts = np.correlate(np.tile(s, 2), s, "valid")[1:-1].tolist()
-        differences[kind] = {d: c for d, c in enumerate(counts, start=1) if c}
-        parity_ok[kind] = all(c % 2 == 0 for c in counts)
-    partners = [system.partner(i) for i in range(system.block_count)]
-    all_symmetric = {
-        kind: all(partners[i] is not None for i in positions)
-        for kind, positions in (("even", evens), ("odd", odds))
-    }
+    even, _, _ = _halves(system)
+    # a kind's ordered pairs at difference d: the cyclic autocorrelation at d of its 0/1 indicator
+    counts = {k: _autocorrelation(s)[1:].tolist() for k, s in (("even", even), ("odd", 1 - even))}
+    differences = {k: {d: c for d, c in enumerate(cs, start=1) if c} for k, cs in counts.items()}
+    parity_ok = {k: all(c % 2 == 0 for c in cs) for k, cs in counts.items()}
+    n, S = system.n, even.tolist()
+    evens = sum(S)
+    same = [S[i] == S[i - n] for i in range(2 * n)]  # S[i - n] is S[(i + n) mod 2n]
+    partners = [(i + n) % (2 * n) if p else None for i, p in enumerate(same)]
+    lone = {s for p, s in zip(same, S) if not p}  # the kinds of the blocks without a partner
+    all_symmetric = {"even": 1 not in lone, "odd": 0 not in lone}
     return ConditionsReport(
         block_count=system.block_count,
-        even_count=len(evens),
-        odd_count=len(odds),
-        balance_ok=len(evens) == len(odds),
+        even_count=evens,
+        odd_count=2 * n - evens,
+        balance_ok=evens == n,
         differences=differences,
         parity_ok=parity_ok,
         symmetric_partner=partners,
@@ -215,38 +229,32 @@ def matching_report(system: BlockSystem, kind: str) -> MatchReport:
     other. Matches never leave a difference class, and conjugation maps class d
     onto class 2n-d, so each class d <= n is decided alone and, for d < n,
     mirrored onto class 2n-d. Inside a class any +1 pair matches any -1 pair,
-    so the class matches exactly when it holds as many +1 pairs as -1 pairs.
-    At d = n a pair's conjugate is in the same class: for even blocks it has
-    the same sign, so couples {p, p'} match couples of the other sign and the
-    same count decides; for odd blocks it has the opposite sign, the count
-    always balances and each pair may match its own conjugate.
+    so the class matches exactly when its signs sum to 0. At d = n a pair's
+    conjugate is in the class too: an even pair's has the same sign, so
+    couples {p, p'} match couples of the other sign and the sum decides; an
+    odd pair's has the opposite sign, the sum is 0 and a pair may match its own.
 
-    A class that matches is built in one pass: take the smallest unused pair p
-    and the smallest unused pair q of opposite sign, and at d = n also couple
-    their conjugates when q is not p's own. What stays unused still balances
-    (and at d = n is closed under conjugation), so no choice has to be undone:
-    the matching is the first one an exhaustive backtracking in this order
-    would find. Classes are built in turn, and the first that does not balance
-    ends the check and is reported by its least pair. Time is linear in the
-    number of pairs. With c_k = (a_k + a_{k+2n})/2 and e_k = (a_k - a_{k+2n})/2
-    from the row a, the class-d sign sum is PAF_c(d) for even blocks and the
-    negacyclic NAF_e(d) for odd ones.
+    The class-d sum is PAF_c(d) for even blocks and NAF_e(d) for odd ones (an
+    odd pair (i, i+d) changes sign when it wraps past the end of C_2n); the
+    first class whose sum is not 0 ends the check, reported by its least pair.
+    A class's pairs are listed only when it is built, in one pass: take the
+    smallest unused pair p and the smallest unused pair q of opposite sign, at
+    d = n also coupling their conjugates when q is not p's own. What is left
+    still balances (at d = n, closed under conjugation), so no choice is
+    undone: the matching is the first that backtracking in this order finds.
     """
     if kind not in ("even", "odd"):
         raise ValueError(f"unknown block kind {kind!r}")
-    m2 = system.block_count
-    positions = system.kind_positions(kind)
+    odd = kind == "odd"
+    x = _halves(system)[2 if odd else 1].tolist()  # the kind's block signs, 0 on the other kind
+    sums = _autocorrelation(x, -1 if odd else 1).tolist()
+    m2, positions = len(x), [i for i, v in enumerate(x) if v]
     matching: list[tuple[Pair, Pair]] = []
     for d in range(1, system.n + 1):
-        ends = [(i, (i + d) % m2) for i in positions if system.blocks[(i + d) % m2].kind == kind]
-        members = [(p, pair_info(system, *p).sign) for p in ends]
-        if sum(sign for _, sign in members) != 0:
-            return MatchReport(
-                kind=kind,
-                perfect_matching_found=False,
-                matching=[],
-                failure_certificate=members[0][0],
-            )
+        ends = [(i, (i + d) % m2) for i in positions if x[(i + d) % m2]]
+        if sums[d]:
+            return MatchReport(kind, False, [], failure_certificate=ends[0])
+        members = [((i, j), x[i] * x[j] * (-1 if odd and j < i else 1)) for i, j in ends]
         by_sign = {s: iter([p for p, sign in members if sign == s]) for s in (1, -1)}
         used: set[Pair] = set()
         found = []
@@ -281,6 +289,7 @@ def quadruple_remainders(system: BlockSystem, i: int, j: int) -> QuadrupleRemain
     The self-conjugate pairs (i,i') and (j,j') always match; of the two diagonal
     couples exactly one matches, and the other, with its conjugates, remains.
     """
+    _check_indices(system, i, j)
     if not i < j:
         raise ValueError("need i < j")
     for idx in (i, j):

@@ -82,8 +82,17 @@ def paf(row) -> np.ndarray:
     if not all_signs(row):
         raise ValueError("row entries must all be +1 or -1")
     row = np.asarray(row, dtype=np.int64)
-    m = row.size
-    return np.array([int(np.dot(row, np.roll(row, -s))) for s in range(m)], dtype=np.int64)
+    if row.ndim != 1:
+        raise ValueError(f"a row must be 1-D, got shape {row.shape}")
+    return _autocorrelation(row)
+
+
+def _autocorrelation(x, wrap: int = 1) -> np.ndarray:
+    """int64 sum_k x[k]*x[k+s], s = 0..L-1; a product that wraps past the end is times `wrap`."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.size == 0:  # np.correlate refuses empty input
+        return x
+    return np.correlate(np.concatenate([x, wrap * x]), x, "valid")[:-1]
 
 
 def paf_is_flat(row) -> bool:

@@ -13,6 +13,7 @@ from circhad import (
     conditions_report,
     matching_report,
     pair_info,
+    paf,
     paf_is_flat,
     paired_listing,
     quadruple_remainders,
@@ -177,6 +178,16 @@ def test_pair_info_sign_symmetry():
                         s_ij = pair_info(system, i, j).sign
                         s_ji = pair_info(system, j, i).sign
                         assert s_ji == expected * s_ij
+
+
+def test_pair_info_rejects_block_indices_out_of_range():
+    # odd blocks at 1 and 7 of a 2n = 8 system: -1 would wrap onto block 7 with the wrong sign
+    kinds = ["even", "odd", "even", "even", "even", "even", "even", "odd"]
+    system = block_system(row_from_blocks(kinds, [1] * 8))
+    assert pair_info(system, 7, 1).sign == -1
+    for i, j in ((-1, 1), (1, -1), (8, 1), (1, 8)):
+        with pytest.raises(ValueError, match="block indices"):
+            pair_info(system, i, j)
 
 
 def test_pair_info_rejects_mixed_kinds():
@@ -351,6 +362,19 @@ def test_class_sign_sums_are_half_sequence_autocorrelations(m):
             assert class_sign_sum(system, "odd", d) == negacyclic_af(e, d)
 
 
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_row_paf_is_made_of_the_half_sequence_autocorrelations(m):
+    for mask in range(1 << m):
+        row = mask_to_signs(mask, m)
+        c, e = half_sequences(row)
+        p = paf(row)
+        half = m // 2
+        for d in range(1, half):
+            assert p[d] == 2 * (periodic_af(c, d) + negacyclic_af(e, d))
+            assert p[d + half] == 2 * (periodic_af(c, d) - negacyclic_af(e, d))
+        assert p[half] == 2 * (np.count_nonzero(c) - np.count_nonzero(e))
+
+
 def block_verdicts(m):
     """(balanced, even kind matches, odd kind matches, flat PAF) of every order-m row."""
     for mask in range(1 << m):
@@ -424,6 +448,7 @@ MATCHED_ROWS = [
 
 
 ORDER8_ROWS = [sign_string(mask_to_signs(mask, 8)) for mask in range(1 << 8)]
+ORDER12_ROWS = [sign_string(mask_to_signs(mask, 12)) for mask in range(1 << 12)]
 
 
 @pytest.mark.parametrize("rows, layout, digest", [
@@ -435,7 +460,10 @@ ORDER8_ROWS = [sign_string(mask_to_signs(mask, 8)) for mask in range(1 << 8)]
      "427d65b0a61398196e6addda0e97dc76582416ec4714447a3c93af0e16c2c3dc"),
     (MATCHED_ROWS, "natural",
      "de648694dc54d9f83b8c34946a1084682941e622fe3383934cf8758b5020bac2"),
-], ids=["order8-natural", "order8-paired", "order32-seeded", "matched"])
+    # the first exhaustive pin with n odd; the paired layout covers the same systems
+    (ORDER12_ROWS, "natural",
+     "4f38fe9066fabc42fc2bf7cccf1c68415572b90a212c0f0332990ef45ce1265c"),
+], ids=["order8-natural", "order8-paired", "order32-seeded", "matched", "order12-natural"])
 def test_analyze_output_is_pinned(rows, layout, digest):
     assert analyze_digest(rows, layout) == digest
 
@@ -500,6 +528,9 @@ def test_quadruple_dichotomy_exhaustive_m16():
 
 def test_quadruple_remainders_preconditions():
     system = _symmetric_odd_system([1, 1, 1, 1])
+    for i, j in ((-4, 1), (0, 8)):  # -4 would wrap onto block 4, i's own partner
+        with pytest.raises(ValueError, match="block indices"):
+            quadruple_remainders(system, i, j)
     with pytest.raises(ValueError):
         quadruple_remainders(system, 1, 0)
     with pytest.raises(ValueError):

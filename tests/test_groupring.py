@@ -25,7 +25,7 @@ from circhad import (
     rg_matrix,
     rg_sign_matrix,
 )
-from circhad.blocks import block_system
+from circhad.blocks import block_system, row_from_blocks
 from circhad.groupring import placement_order
 from circhad.constructions import FAMILIES, c2c8_matrix, kronecker_extend, quaternion_c2_matrix
 from circhad.signs import row_to_mask as signs_to_mask
@@ -458,6 +458,8 @@ def _entry_points():
                        "coefficients must all be +1 or -1"),
         "signs_to_mask": (signs_to_mask, "row entries must all be +1 or -1"),
         "block_system": (block_system, "row entries must all be +1 or -1"),
+        "row_from_blocks": (lambda v: row_from_blocks(["even", "odd", "odd", "even"], v),
+                            "block signs must all be +1 or -1"),
     }
 
 

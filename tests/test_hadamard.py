@@ -105,6 +105,33 @@ def test_paf_matches_oracle_on_random_rows():
             assert got[s] == paf_oracle(list(row), s)
 
 
+def test_paf_of_empty_row_is_empty():
+    got = paf([])
+    assert got.dtype == np.int64 and got.size == 0
+
+
+def test_paf_refuses_a_row_that_is_not_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        paf([[1, 1], [1, -1]])
+    with pytest.raises(ValueError, match="1-D"):
+        paf(1)
+
+
+def autocorrelation_by_shift(x, s, wrap):
+    # the definition: each product x[k] * x[(k+s) mod L] that wraps past the end is times wrap
+    k = np.arange(len(x))
+    return int(np.sum(x * x[(k + s) % len(x)] * np.where(k + s >= len(x), wrap, 1)))
+
+
+@pytest.mark.parametrize("wrap", [1, -1])
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 15, 4096])
+def test_autocorrelation_matches_its_per_shift_definition(length, wrap):
+    x = np.random.default_rng(length).integers(-3, 4, length)
+    got = hadamard._autocorrelation(x, wrap)
+    assert got.dtype == np.int64
+    assert got.tolist() == [autocorrelation_by_shift(x, s, wrap) for s in range(length)]
+
+
 @pytest.mark.parametrize("m", [4, 8, 12])
 def test_paf_flat_iff_gram_hadamard_exhaustive(m):
     # cross-oracle equivalence over the whole 2^m row space
