@@ -89,14 +89,11 @@ def block_system(row, layout: str = "natural") -> BlockSystem:
     row = row.astype(np.int64)
     if layout not in ("natural", "paired"):
         raise ValueError(f"unknown layout {layout!r}")
-    half = row.size // 2
     if layout == "paired":
-        natural = np.empty_like(row)
-        natural[:half] = row[0::2]
-        natural[half:] = row[1::2]
-        row = natural
-    blocks = tuple(Block2(int(row[k]), int(row[half + k])) for k in range(half))
-    return BlockSystem(n=row.size // 4, blocks=blocks, source_row=tuple(int(x) for x in row))
+        row = row.reshape(-1, 2).T.ravel()
+    head, tail = row.reshape(2, -1).tolist()
+    return BlockSystem(n=row.size // 4, blocks=tuple(map(Block2, head, tail)),
+                       source_row=tuple(row.tolist()))
 
 
 def _halves(system: BlockSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,37 +103,35 @@ def _halves(system: BlockSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def row_from_blocks(kinds, signs) -> np.ndarray:
-    """Natural-order row whose block system has the given kinds and signs."""
+    """Natural-order row with these block kinds and signs, the inverse of (c, e): a_k is
+    block k's sign, and a_{k+2n} is that sign on an even block and its negative on an odd one."""
     if len(kinds) != len(signs) or len(kinds) % 2 != 0:
         raise ValueError("need an even number of (kind, sign) pairs")
     if not all_signs(signs):
         raise ValueError("block signs must all be +1 or -1")
-    half = len(kinds)
-    row = np.empty(2 * half, dtype=np.int64)
-    for k, (kind, sign) in enumerate(zip(kinds, signs)):
-        if kind == "even":
-            row[k], row[half + k] = sign, sign
-        elif kind == "odd":
-            row[k], row[half + k] = sign, -sign
-        else:
-            raise ValueError(f"unknown block kind {kind!r}")
-    return row
+    kinds = np.asarray(kinds, dtype=object)
+    odd = kinds == "odd"
+    unknown = kinds[~odd & (kinds != "even")]
+    if unknown.size:
+        raise ValueError(f"unknown block kind {unknown[0]!r}")
+    signs = np.asarray(signs, dtype=np.int64)
+    return np.concatenate([signs, np.where(odd, -signs, signs)])
 
 
 def assemble_block_matrix(system: BlockSystem) -> SignMatrix:
-    """Rebuild the full 4n x 4n matrix from the block system.
+    """Rebuild the full 4n x 4n matrix from the half sequences c and e.
 
-    Block-row r holds blocks B[(c-r) mod 2n]; blocks that wrap around from the
-    end of one block-row to the start of the next appear twisted.
+    Block (r, col) is block k = (col - r) mod 2n, [[c_k + e_k, c_k - e_k],
+    [c_k - e_k, c_k + e_k]]; a block that wraps around from the end of one
+    block-row to the start of the next (col < r) appears twisted, which flips
+    the sign of e_k.
     """
-    m2 = system.block_count
-    out = np.empty((2 * m2, 2 * m2), dtype=np.int64)
-    for r in range(m2):
-        for c in range(m2):
-            block = system.blocks[(c - r) % m2]
-            if c < r:
-                block = twist(block)
-            out[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = block.entries
+    _, c, e = _halves(system)
+    k = (np.arange(c.size) - np.arange(c.size)[:, None]) % c.size
+    ek = np.where(np.tri(c.size, k=-1, dtype=bool), -e[k], e[k])
+    out = np.empty((2 * c.size, 2 * c.size), dtype=np.int64)
+    out[0::2, 0::2] = out[1::2, 1::2] = c[k] + ek
+    out[0::2, 1::2] = out[1::2, 0::2] = c[k] - ek
     return SignMatrix(out)
 
 
@@ -199,8 +194,9 @@ def conditions_report(system: BlockSystem) -> ConditionsReport:
     evens = sum(S)
     same = [S[i] == S[i - n] for i in range(2 * n)]  # S[i - n] is S[(i + n) mod 2n]
     partners = [(i + n) % (2 * n) if p else None for i, p in enumerate(same)]
-    lone = {s for p, s in zip(same, S) if not p}  # the kinds of the blocks without a partner
-    all_symmetric = {"even": 1 not in lone, "odd": 0 not in lone}
+    # one fact under two keys: a block without a same-kind partner at i + n leaves
+    # block i + n, which is of the other kind, without one too
+    symmetric = all(same)
     return ConditionsReport(
         block_count=system.block_count,
         even_count=evens,
@@ -209,7 +205,7 @@ def conditions_report(system: BlockSystem) -> ConditionsReport:
         differences=differences,
         parity_ok=parity_ok,
         symmetric_partner=partners,
-        all_symmetric=all_symmetric,
+        all_symmetric={"even": symmetric, "odd": symmetric},
     )
 
 
@@ -247,7 +243,7 @@ def matching_report(system: BlockSystem, kind: str) -> MatchReport:
         raise ValueError(f"unknown block kind {kind!r}")
     odd = kind == "odd"
     x = _halves(system)[2 if odd else 1].tolist()  # the kind's block signs, 0 on the other kind
-    sums = _autocorrelation(x, -1 if odd else 1).tolist()
+    sums = _autocorrelation(x, -1 if odd else 1, system.n + 1).tolist()
     m2, positions = len(x), [i for i, v in enumerate(x) if v]
     matching: list[tuple[Pair, Pair]] = []
     for d in range(1, system.n + 1):

@@ -87,12 +87,12 @@ def paf(row) -> np.ndarray:
     return _autocorrelation(row)
 
 
-def _autocorrelation(x, wrap: int = 1) -> np.ndarray:
-    """int64 sum_k x[k]*x[k+s], s = 0..L-1; a product that wraps past the end is times `wrap`."""
+def _autocorrelation(x, wrap: int = 1, lags: int | None = None) -> np.ndarray:
+    """int64 sum_k x[k]*x[k+s] for s below `lags` (default L); a wrapped product is times `wrap`."""
     x = np.asarray(x, dtype=np.int64)
     if x.size == 0:  # np.correlate refuses empty input
         return x
-    return np.correlate(np.concatenate([x, wrap * x]), x, "valid")[:-1]
+    return np.correlate(np.concatenate([x, wrap * x[: (lags or x.size) - 1]]), x, "valid")
 
 
 def paf_is_flat(row) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blocks import ConditionsReport, MatchReport, QuadrupleRemainders
+from .blocks import ConditionsReport, MatchReport
 from .errors import FormatError
 from .groupring import SignMatrix
 from .hadamard import GramReport
@@ -165,7 +165,7 @@ def _conditions_payload(report: ConditionsReport) -> dict:
         "balance_ok": report.balance_ok,
         "differences": {k: {str(d): c for d, c in v.items()} for k, v in report.differences.items()},
         "parity_ok": report.parity_ok,
-        "symmetric_partner": list(report.symmetric_partner),
+        "symmetric_partner": report.symmetric_partner,
         "all_symmetric": report.all_symmetric,
     }
 
@@ -243,31 +243,11 @@ def _search_text(result: SearchResult) -> list[str]:
     return lines
 
 
-def _quadruple_payload(report: QuadrupleRemainders) -> dict:
-    return {
-        "report": "quadruple_remainders",
-        "quadruple": list(report.quadruple),
-        "cross_matched": report.cross_matched,
-        "remainders": [list(p) for p in report.remainders],
-        "remainder_conjugates": [list(p) for p in report.remainder_conjugates],
-    }
-
-
-def _quadruple_text(report: QuadrupleRemainders) -> list[str]:
-    return [
-        f"quadruple: {report.quadruple}",
-        f"cross pairs matched: {_bool(report.cross_matched)}",
-        f"remainders: {report.remainders}",
-        f"remainder conjugates: {report.remainder_conjugates}",
-    ]
-
-
 _DISPATCH = {
     GramReport: (_gram_payload, _gram_text),
     ConditionsReport: (_conditions_payload, _conditions_text),
     MatchReport: (_match_payload, _match_text),
     SearchResult: (_search_payload, _search_text),
-    QuadrupleRemainders: (_quadruple_payload, _quadruple_text),
 }
 
 

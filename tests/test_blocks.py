@@ -123,13 +123,32 @@ def test_assemble_all_plus_is_all_ones():
     assert np.array_equal(out.entries, np.ones((8, 8), dtype=np.int64))
 
 
-@pytest.mark.parametrize("m", [4, 8])
+# m = 12 is the first exhaustive case with n odd
+@pytest.mark.parametrize("m", [4, 8, 12])
 def test_reconstruction_identity_exhaustive(m):
     for mask in range(1 << m):
         row = mask_to_signs(mask, m)
         lhs = assemble_block_matrix(block_system(row)).entries
         rhs = rg_matrix(circulant_from_row(row), paired_listing(m))
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_row_from_blocks_inverts_block_system(m):
+    for mask in range(1 << m):
+        system = block_system(mask_to_signs(mask, m))
+        kinds = [b.kind for b in system.blocks]
+        signs = [b.sign for b in system.blocks]
+        assert tuple(row_from_blocks(kinds, signs).tolist()) == system.source_row
+
+
+def test_row_from_blocks_rejects_bad_blocks():
+    with pytest.raises(ValueError, match="even number"):
+        row_from_blocks(["even", "odd", "odd"], [1, 1, 1])
+    with pytest.raises(ValueError, match="even number"):
+        row_from_blocks(["even", "odd"], [1])
+    with pytest.raises(ValueError, match="unknown block kind 'diagonal'"):
+        row_from_blocks(["even", "odd", "diagonal", "even"], [1, 1, 1, 1])
 
 
 def test_reconstruction_identity_random_m16():
@@ -231,6 +250,18 @@ def test_symmetry_flags():
     assert report.all_symmetric["even"] == (
         all(report.symmetric_partner[i] is not None for i in system.kind_positions("even"))
     )
+
+
+@pytest.mark.parametrize("layout", ["natural", "paired"])
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_all_symmetric_is_one_flag_for_both_kinds(m, layout):
+    # a block without a same-kind partner at i + n leaves block i + n, of the other kind, without one
+    for mask in range(1 << m):
+        system = block_system(mask_to_signs(mask, m), layout=layout)
+        per_kind = {kind: all(system.partner(i) is not None for i in system.kind_positions(kind))
+                    for kind in ("even", "odd")}
+        assert conditions_report(system).all_symmetric == per_kind
+        assert per_kind["even"] == per_kind["odd"]
 
 
 def test_matching_vacuous_for_singleton_kind():

@@ -123,13 +123,18 @@ def autocorrelation_by_shift(x, s, wrap):
     return int(np.sum(x * x[(k + s) % len(x)] * np.where(k + s >= len(x), wrap, 1)))
 
 
-@pytest.mark.parametrize("wrap", [1, -1])
-@pytest.mark.parametrize("length", [1, 2, 3, 7, 15, 4096])
-def test_autocorrelation_matches_its_per_shift_definition(length, wrap):
+# lags None asks for all L lags and keeps the ids "<length>-<wrap>";
+# matching_report asks for n + 1 of its 2n
+@pytest.mark.parametrize("length, wrap, lags", [
+    pytest.param(length, wrap, lags, id=f"{length}-{wrap}" + (f"-{lags}" if lags else ""))
+    for lags in (None, 1, "n+1") for wrap in (1, -1) for length in (1, 2, 3, 7, 15, 4096)])
+def test_autocorrelation_matches_its_per_shift_definition(length, wrap, lags):
     x = np.random.default_rng(length).integers(-3, 4, length)
-    got = hadamard._autocorrelation(x, wrap)
+    if lags == "n+1":
+        lags = length // 2 + 1
+    got = hadamard._autocorrelation(x, wrap, lags)
     assert got.dtype == np.int64
-    assert got.tolist() == [autocorrelation_by_shift(x, s, wrap) for s in range(length)]
+    assert got.tolist() == [autocorrelation_by_shift(x, s, wrap) for s in range(lags or length)]
 
 
 @pytest.mark.parametrize("m", [4, 8, 12])
