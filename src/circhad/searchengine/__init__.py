@@ -60,12 +60,12 @@ KERNEL_BACKEND: str = _kernel.BACKEND
 ENUMERATION_LIMIT = 1 << 28
 KERNEL_ORDER_LIMIT = MASK_BITS  # masks are uint64
 # Rows left for the kernel above which a search with --workers > 1 forks children
-# (BENCH_19.json has the runs). Two workers at --partition-depth 6 on 2 vCPUs, medians
-# of 21 runs, in-process against forked from the start: 2^19 rows (order 20 without
-# the row-sum and balance filters) took 0.026 against 0.044 s, 2^21 rows (order 22)
-# 0.041 against 0.045 s, and 1.8 * 2^20 rows (order 24) 0.174 against 0.104 s. A row
+# (BENCH_25.json has the runs). Two workers at --partition-depth 6 on 2 vCPUs, medians
+# of 11 runs, in-process against forked from the start: 2^19 rows (order 20 without
+# the row-sum and balance filters) took 0.009 against 0.012 s, 2^21 rows (order 22)
+# 0.039 against 0.034 s, and 1.8 * 2^20 rows (order 24) 0.079 against 0.066 s. A row
 # costs more under --crosscheck 1, whose order-20 search (2^17 rows) would take
-# 0.046 s forked instead of 0.056 s.
+# 0.046 s forked instead of 0.056 s (BENCH_19.json, with an earlier kernel).
 FORK_ABOVE_ROWS = 1 << 20
 
 

@@ -12,23 +12,31 @@ the balance quota (which reads bit m // 2 - 1, entry k - m // 2) and the
 autocorrelation bound of `_pykernel` are applied to both children of every
 node, whose partial sums, counts and masks are computed once as (..., 2, N)
 arrays; the surviving columns are then gathered as the children. Child b of
-node i is 2i+b, so both kernels reach the same rows in the same order.
+node i is 2i+b, so both kernels reach the same rows in the same order. Shift s
+has k+1-s terms once entry k is set, so its bound m-k-1+s can fail only for
+s <= k - m // 2, and only those shifts are tested.
 
 Partial sums that have not started are zero. A leaf closes its wrapped shifts
-with signs read from both ends of its mask. So a node of even order m holds
-m/2 + 10 bytes: 8 of mask, 2 of counts and m/2 of partial sums.
+with signs read from both ends of its mask, in one pass over its shifts. So a
+node of even order m holds m/2 + 10 bytes: 8 of mask, 2 of counts and m/2 of
+partial sums.
 
-`scan_partitions` scans many partitions as one batched frontier, grown from
-the empty row by the same step at every level. Inside the prefixes that step
-also drops the children on no pending prefix's path, so a prefix is entered one
-entry at a time and pruned like any other node; a prefix pruned inside itself
-has no leaves and is still yielded, with none reached. Each leaf is credited to
-its partition by its top bits. Children that number more than `FRONTIER_CAP`
-are gathered as two halves, and the first half is finished before the second
-is started. The stack of pending halves holds at most one half per level, so
-at most about m * FRONTIER_CAP nodes are held at once, and the lowest
-unfinished prefix is always on top of that stack. Every partition below it is
-done, so results are yielded in prefix order as soon as they are final.
+`scan_partitions` scans many partitions as one batched frontier. It does not
+walk down from the empty row: every filter is monotone along a row (a node
+that fails at one entry fails at every later one), so the nodes the walk would
+reach at a level L >= depth are exactly the L-entry extensions of the pending
+prefixes that pass the filters at entry L-1. The scan seeds them at once, at
+the deepest level up to m // 2 (before that entry the bounds hardly prune)
+whose extensions number at most `FRONTIER_CAP`, or at `depth` in chunks of
+`FRONTIER_CAP` prefixes, each finished before the next is seeded; a prefix
+that fails there has no leaves and is still yielded, with none reached. Each
+leaf is credited to its partition by its top bits. Children that number more
+than `FRONTIER_CAP` are gathered as two halves, and the first half is finished
+before the second is started. The stack of pending halves holds at most one
+half per level, so at most about m * FRONTIER_CAP nodes are held at once, and
+the lowest unfinished prefix is always on top of that stack. Every partition
+below it is done, so results are yielded in prefix order as soon as they are
+final.
 """
 
 from __future__ import annotations
@@ -38,9 +46,10 @@ import numpy as np
 from . import _pykernel
 
 BACKEND = "numpy"
-# Measured on 2 vCPUs (BENCH_17.json) at m + 11 bytes a node (m/2 + 10 now): 16384
-# cut the benchmark's order-20 search rounds by 28-36% against 4096 and moved the
-# serial search's peak RSS by less than 0.1 MB; 32768 raised that peak by 1.1 MB more.
+# The most nodes a level gathers at once, and a seed holds. Measured on 2 vCPUs
+# (BENCH_17.json) at m + 11 bytes a node (m/2 + 10 now): 16384 cut the benchmark's
+# order-20 search rounds by 28-36% against 4096 and moved the serial search's peak
+# RSS by less than 0.1 MB; 32768 raised that peak by 1.1 MB more.
 FRONTIER_CAP = 16384
 
 _HASH_MULT = np.uint64(_pykernel._HASH_MULT)
@@ -73,12 +82,14 @@ def scan_subtree(
 def _mask_signs(masks: np.ndarray, count: int) -> np.ndarray:
     """Row s of the (count, len(masks)) int8 result is the sign of bit s of each mask.
 
-    A set bit is -1. Only the low 32 bits are read (count <= 32), so the
-    shifts run on the masks' low word as uint32. The signs are formed in place:
-    one more temporary raised the benchmark's serial search peak RSS.
+    A set bit is -1. The shifts run on the narrowest words that hold `count`
+    bits: uint16 up to 16, uint32 up to 32, else the whole uint64 masks. The
+    signs are formed in place: one more temporary raised the benchmark's serial
+    search peak RSS.
     """
-    bits = masks.astype(np.uint32) >> np.arange(count, dtype=np.uint32)[:, None]
-    bits &= np.uint32(1)
+    word = np.uint16 if count <= 16 else np.uint32 if count <= 32 else np.uint64
+    bits = masks.astype(word, copy=False) >> np.arange(count, dtype=word)[:, None]
+    bits &= word(1)
     signs = bits.astype(np.int8)
     signs *= -2
     signs += 1
@@ -110,6 +121,43 @@ def scan_partitions(
         dtype=bool,
     )
 
+    def passing(k: int, sums, negs, evens) -> np.ndarray:
+        """keep[b, i]: node [b, i] passes every filter at entry k, given its partial
+        sums (..., B, N), negative and even-block counts (B, N) once entry k is set."""
+        keep = np.ones(negs.shape, dtype=bool)
+        if row_sum_on:
+            keep &= row_sum_window[k, negs]
+        if track_balance and k >= half:
+            keep &= (evens <= quota) & (k + 1 - half - evens <= quota)
+        if paf_prefix_on and k > half:
+            # shift s has k+1-s terms, so only shifts up to k - half can exceed m-k-1+s
+            remaining = (m - k - 1 + np.arange(1, k - half + 1, dtype=np.int8))[:, None]
+            for b, row in enumerate(keep):
+                row &= np.all(np.abs(sums[: k - half, b]) <= remaining, axis=0)
+        return keep
+
+    def seed(chunk: list[int], level: int) -> list:
+        """The nodes at `level` under the prefixes of `chunk` that pass every filter.
+
+        Each passed the filters at every earlier entry, as they are monotone.
+        """
+        low = np.arange(1 << (level - depth), dtype=np.uint64)
+        masks = (np.array(chunk, dtype=np.uint64)[:, None] << np.uint64(level - depth) | low).ravel()
+        signs = _mask_signs(masks, level)  # row j is entry level-1-j
+        # partial sums and counts never exceed m <= 64 in size, so int8 holds them
+        partial = np.zeros((half, len(masks)), dtype=np.int8)
+        for s in range(1, min(level - 1, half) + 1):
+            np.einsum("ij,ij->j", signs[s:], signs[: level - s], out=partial[s - 1])
+        negs = np.count_nonzero(signs < 0, axis=0).astype(np.uint8)
+        evens = np.zeros(len(masks), dtype=np.int8)
+        if track_balance and level > half:
+            evens[:] = np.count_nonzero(signs[half:] == signs[: level - half], axis=0)
+        del signs
+        if not level:  # the empty row, which has no entry to test
+            return [masks, partial, negs, evens]
+        keep = passing(level - 1, partial[:, None], negs[None], evens[None])[0]
+        return [masks[keep], partial[:, keep], negs[keep], evens[keep]]
+
     def children(nodes, k: int) -> tuple[list, np.ndarray]:
         """Both children of every node at entry k, and which of them survive pruning.
 
@@ -125,20 +173,13 @@ def scan_partitions(
         np.subtract(partial[:shifts], signs, out=sums[:shifts, 1])
         kid_negs = negs + _BOTH_BITS[:, None]
         kid_evens = np.stack([evens, evens])
-        keep = np.ones((2, len(masks)), dtype=bool)
-        if row_sum_on:
-            keep &= row_sum_window[k, kid_negs]
         if track_balance and k >= half:
             kid_evens += signs[half - 1] == _CHILD_SIGNS  # entry k-half has the child's sign
-            keep &= (kid_evens <= quota) & (k + 1 - half - kid_evens <= quota)
-        if paf_prefix_on and shifts:
-            remaining = (m - k - 1 + np.arange(1, shifts + 1, dtype=np.int8))[:, None]
-            for b in (0, 1):
-                keep[b] &= np.all(np.abs(sums[:shifts, b]) <= remaining, axis=0)
+        keep = passing(k, sums, kid_negs, kid_evens)
         return [(masks << np.uint64(1)) | _BOTH_BITS[:, None], sums, kid_negs, kid_evens], keep
 
     def advance(nodes, k: int) -> list:
-        """The children at entry k that survive pruning and, above `depth`, lie on a prefix.
+        """The children at entry k that survive pruning.
 
         Returns them as one frontier, or as two halves when they number more than
         `FRONTIER_CAP`; each half is gathered on its own, so neither keeps the
@@ -147,16 +188,11 @@ def scan_partitions(
         """
         kids, keep = children(nodes, k)
         nodes.clear()
-        if k < depth:
-            # child c holds the leaves from c << shift on; it lies on a prefix
-            # when the first partition starting there starts under c
-            shift = np.uint64(m - 1 - k)
-            at = np.minimum(np.searchsorted(starts, kids[0] << shift), count - 1)
-            keep &= starts[at] >> shift == kids[0]
         width = keep.shape[1]
         # child b of node i is 2i+b, so the rows stay in order, and it is column b*N + i
-        # of each kid array; built in place, as each temporary raised the peak RSS
-        cols = np.flatnonzero(keep.T)
+        # of each kid array; keep's (N, 2) copy is contiguous, unlike keep.T, which was
+        # a level's slowest step; built in place, as each temporary raised the peak RSS
+        cols = np.flatnonzero(np.stack((keep[0], keep[1]), axis=1))
         offsets = cols & 1
         offsets *= width
         cols >>= 1
@@ -181,12 +217,11 @@ def scan_partitions(
         reached[part[0] : part[0] + len(counts)] += counts
         last = _mask_signs(masks, half)  # row u is entry m-1-u
         head = _mask_signs(masks >> np.uint64(m - half), half)  # row t is entry half-1-t
-        flat = np.arange(len(masks))  # the leaves whose shifts so far sum to 0
         for s in range(1, half + 1):
             # entries m-s.. wrap onto entries ..s-1: row u of last, entry m-1-u, pairs
             # with entry s-1-u, row half-s+u of head; each sum is at most m <= 64
-            wrap = np.einsum("ij,ij->j", last[:s, flat], head[half - s :, flat])
-            flat = flat[partial[s - 1, flat] + wrap == 0]
+            partial[s - 1] += np.einsum("ij,ij->j", last[:s], head[half - s :])
+        flat = np.flatnonzero(~partial.any(axis=0))  # the leaves whose shifts all sum to 0
         for mask, i in zip(masks[flat].tolist(), part[flat].tolist()):
             found[i].append(mask)
         if cc_threshold:
@@ -205,27 +240,27 @@ def scan_partitions(
     found: list[list[int]] = [[] for _ in range(count)]
     sampled: dict[int, list[np.ndarray]] = {}  # unyielded partitions' sampled masks, in chunks
 
-    # The scan starts from the empty row, one node. Partial sums and counts never
-    # exceed m <= 64 in size, so int8 holds them.
-    root = [np.zeros(1, dtype=np.uint64), np.zeros((half, 1), dtype=np.int8),
-            np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.int8)]
-    pending = [(0, root)] if count else []
-
+    # The seed's level: depth, deepened toward m // 2 while its 2^(level - depth) * count
+    # nodes fit the cap; more prefixes than the cap are seeded in chunks, one at a time.
+    level = depth + max(0, min(half - depth, (FRONTIER_CAP // max(count, 1)).bit_length() - 1))
+    size = FRONTIER_CAP >> (level - depth)  # prefixes seeded at once
     done = 0
-    while pending:
-        k, nodes = pending.pop()
-        while k < m and len(nodes[0]):
-            nodes, *rest = advance(nodes, k)
-            k += 1
-            pending.extend((k, kids) for kids in rest)
-        if k == m and len(nodes[0]):
-            close(nodes)
-        if pending:
-            top_k, top = pending[-1]
-            lowest = np.uint64(int(top[0][0]) << (m - top_k))
-            bound = int(np.searchsorted(starts, lowest, side="right")) - 1
-        else:
-            bound = count
-        for i in range(done, bound):
-            yield prefixes[i], int(reached[i]), found[i], np.concatenate(sampled.pop(i, [_NO_MASKS]))
-        done = bound
+    for first in range(0, count, size):
+        pending = [(level, seed(prefixes[first : first + size], level))]
+        while pending:
+            k, nodes = pending.pop()
+            while k < m and len(nodes[0]):
+                nodes, *rest = advance(nodes, k)
+                k += 1
+                pending.extend((k, kids) for kids in rest)
+            if k == m and len(nodes[0]):
+                close(nodes)
+            if pending:
+                top_k, top = pending[-1]
+                lowest = np.uint64(int(top[0][0]) << (m - top_k))
+                bound = int(np.searchsorted(starts, lowest, side="right")) - 1
+            else:
+                bound = min(first + size, count)
+            for i in range(done, bound):
+                yield prefixes[i], int(reached[i]), found[i], np.concatenate(sampled.pop(i, [_NO_MASKS]))
+            done = bound

@@ -740,26 +740,38 @@ def test_interrupt_exits_130_without_a_traceback(monkeypatch, capsys, workers):
 
 def test_sigint_ends_a_forked_search_with_130_and_the_checkpoint_resumes(tmp_path, capsys):
     checkpoint = tmp_path / "interrupted.ckpt"
-    argv = ["search", "--order", "28", "--no-filter", "row_sum", "--workers", "2",
-            "--partition-depth", "8", "--checkpoint"]
+    # without the row-sum and balance filters the order-28 search leaves 2^27 rows for the
+    # kernel and 8,789,272 paf_prefix survivors: on 2 vCPUs it ran 0.67-0.73 s past its 9th
+    # checkpoint line alone and 1.0-1.1 s beside a one-core busy loop, time enough for the
+    # signal to land
+    argv = ["search", "--order", "28", "--no-filter", "row_sum", "--no-filter", "balance",
+            "--workers", "2", "--partition-depth", "8", "--checkpoint"]
     env = {**os.environ, "PYTHONPATH": str(Path(circhad.__file__).resolve().parents[1])}
     # so the search forks from the start, and every checkpoint line waited for below came from a child
-    assert (engine._balance_count(28, None) >> 1) > engine.FORK_ABOVE_ROWS
+    assert (1 << 28 >> 1) > engine.FORK_ABOVE_ROWS
+
+    def lines():
+        return checkpoint.read_text().count("\n") if checkpoint.exists() else 0
+
     proc = subprocess.Popen([sys.executable, "-m", "circhad", *argv, str(checkpoint)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         give_up = time.monotonic() + 60
         # the header and 8 of the 256 partitions: the search is well under way
-        while not checkpoint.exists() or checkpoint.read_text().count("\n") < 9:
-            assert proc.poll() is None and time.monotonic() < give_up
+        while lines() < 9:
+            assert proc.poll() is None, (f"exit {proc.returncode} before the signal, after "
+                                         f"{lines()} checkpoint lines; stderr {proc.stderr.read()!r}")
+            assert time.monotonic() < give_up, f"{lines()} checkpoint lines after 60 s"
             time.sleep(0.01)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=30)
     finally:
         proc.kill()
         proc.wait()
-    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
-    assert checkpoint.read_text().count("\n") < 257
+    seen = f"exit {proc.returncode}, stdout {out!r}, stderr {err!r}, {lines()} checkpoint lines"
+    assert proc.returncode == 130, seen
+    assert (out, err) == ("", "interrupted\n"), seen
+    assert lines() < 257, seen
     unbroken = tmp_path / "unbroken.ckpt"
     expected = search_output(argv + [str(unbroken)], capsys)
     assert search_output(argv + [str(checkpoint)], capsys) == expected

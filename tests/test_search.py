@@ -175,6 +175,33 @@ def test_scan_partitions_in_order_through_small_frontiers(monkeypatch, cap):
             assert scanned(_npkernel, m, prefixes, depth, *filters) == expected
 
 
+@pytest.mark.parametrize("m", range(8, 21))
+def test_kernels_agree_around_the_seed_level(m):
+    # the numpy kernel seeds its frontier at depth, or deeper up to level m // 2 while
+    # the nodes fit the cap, and tests only the shifts that can fail from m // 2 + 1 on
+    _, adm_mask = engine._admissible_mask(m)
+    for depth in (m // 2 - 1, m // 2, m // 2 + 1, m):
+        prefixes = sorted({0, 1, (1 << depth) // 3, (1 << depth) - 1})
+        for row_sum, balance, paf_prefix in itertools.product([False, True], repeat=3):
+            args = (m, prefixes, depth, row_sum, adm_mask, balance, paf_prefix, 1 << 31)
+            assert scanned(_npkernel, *args) == scanned(_pykernel, *args), args
+
+
+def test_seed_is_chunked_when_the_prefixes_outnumber_the_cap(monkeypatch):
+    # 171 prefixes against a cap of 32: the seed is cut into 6 chunks, each scanned
+    # before the next is seeded, and the results still arrive in prefix order
+    m, depth, cap = 16, 9, 32
+    _, adm_mask = engine._admissible_mask(m)
+    prefixes = list(range(0, 1 << depth, 3))
+    assert len(prefixes) > cap
+    monkeypatch.setattr(_npkernel, "FRONTIER_CAP", cap)
+    for filters in ((False, adm_mask, True, True, 1 << 31), (True, adm_mask, True, True, 0),
+                    (False, adm_mask, False, False, 1 << 28)):
+        expected = scanned(_pykernel, m, prefixes, depth, *filters)
+        assert [entry[0] for entry in expected] == prefixes
+        assert scanned(_npkernel, m, prefixes, depth, *filters) == expected, filters
+
+
 def test_default_frontier_cap_scans_like_a_small_one(monkeypatch):
     # the unfiltered order-24 tree is wider than the default cap, so the default splits
     # its frontier where a cap of 512 splits it too, at other widths
@@ -239,9 +266,11 @@ def test_leaf_signs_and_flatness_match_the_python_paf(m):
         masks = sorted({rng.getrandbits(m) | 1 << (m - 1) for _ in range(20)}
                        | {rng.getrandbits(m) for _ in range(20)} | {0, 1, (1 << m) - 1})
     # the leaves read bits 0 to half-1 and, shifted down by m - half, the first half of
-    # the row; 32 bits from bit 0 (all bits below order 6) also reach bit 31 at order 63
+    # the row; a seed reads all its bits, which crosses the word widths of 16 and 32 bits
+    # (32 bits from bit 0 are all bits below order 6)
     half = m // 2
-    for shift, count in ((0, min(m, 32)), (m - half, half)):
+    widths = (min(m, 32),) if m < 32 else (16, 17, 32, 33, m)
+    for shift, count in [(0, width) for width in widths] + [(m - half, half)]:
         expected = np.array([[1 - 2 * (mask >> (shift + s) & 1) for s in range(count)] for mask in masks])
         got = _npkernel._mask_signs(np.array(masks, dtype=np.uint64) >> np.uint64(shift), count)
         assert got.dtype == np.int8 and np.array_equal(got, expected.reshape(len(masks), count).T)
