@@ -2,20 +2,14 @@
 for circulant Hadamard rows."""
 
 from .blocks import (
-    Block2,
     BlockSystem,
     ConditionsReport,
     MatchReport,
-    PairInfo,
-    QuadrupleRemainders,
     assemble_block_matrix,
     block_system,
     conditions_report,
     matching_report,
-    pair_info,
-    quadruple_remainders,
     row_from_blocks,
-    twist,
 )
 from .constructions import (
     NamedConstruction,

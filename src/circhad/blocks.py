@@ -13,6 +13,7 @@ PAF_c(d) for even blocks and NAF_e(d) for odd ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,58 +25,31 @@ Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class Block2:
-    """Block [[first, second], [second, first]] with entries +-1."""
-
-    first: int
-    second: int
-
-    def __post_init__(self):
-        if self.first not in (-1, 1) or self.second not in (-1, 1):
-            raise ValueError("block entries must be +1 or -1")
-
-    @property
-    def kind(self) -> str:
-        return "even" if self.first == self.second else "odd"
-
-    @property
-    def sign(self) -> int:
-        # even blocks carry their shared sign; odd ones (+,-) -> +1 and (-,+) -> -1
-        return self.first
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.array([[self.first, self.second], [self.second, self.first]], dtype=np.int64)
-
-
-def twist(block: Block2) -> Block2:
-    """Column-swapped block: identity on even blocks, negation on odd ones."""
-    return Block2(block.second, block.first)
-
-
-@dataclass(frozen=True)
 class BlockSystem:
-    """The 2n blocks induced by a length-4n row (natural coefficient order)."""
+    """A length-4n row (natural coefficient order), read as its 2n blocks."""
 
     n: int
-    blocks: tuple[Block2, ...]
     source_row: tuple[int, ...]
 
     @property
     def block_count(self) -> int:
         return 2 * self.n
 
-    def kind_positions(self, kind: str) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if b.kind == kind]
+    @cached_property
+    def _halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, c, e): c and e hold the even and the odd blocks' signs, 0 on the other kind.
 
-    def partner(self, i: int) -> int | None:
-        """Same-kind block at cyclic distance n from block i, when present."""
-        j = (i + self.n) % (2 * self.n)
-        return j if self.blocks[j].kind == self.blocks[i].kind else None
+        Built on first use and shared by every report, so the arrays are read-only.
+        """
+        head, tail = np.array(self.source_row).reshape(2, -1)
+        halves = ((head == tail).astype(np.int64), (head + tail) // 2, (head - tail) // 2)
+        for x in halves:
+            x.flags.writeable = False
+        return halves
 
 
 def block_system(row, layout: str = "natural") -> BlockSystem:
-    """Break a sign row of length 4n into its 2n classified blocks.
+    """Read a sign row of length 4n as its 2n blocks.
 
     layout="natural": row holds coefficients in natural order; block k pairs
     row[k] with row[2n+k]. layout="paired": row is a row of the already-blocked
@@ -91,22 +65,14 @@ def block_system(row, layout: str = "natural") -> BlockSystem:
         raise ValueError(f"unknown layout {layout!r}")
     if layout == "paired":
         row = row.reshape(-1, 2).T.ravel()
-    head, tail = row.reshape(2, -1).tolist()
-    return BlockSystem(n=row.size // 4, blocks=tuple(map(Block2, head, tail)),
-                       source_row=tuple(row.tolist()))
-
-
-def _halves(system: BlockSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, c, e): c and e hold the even and the odd blocks' signs, 0 on the other kind."""
-    head, tail = np.array(system.source_row).reshape(2, -1)
-    return (head == tail).astype(np.int64), (head + tail) // 2, (head - tail) // 2
+    return BlockSystem(n=row.size // 4, source_row=tuple(row.tolist()))
 
 
 def row_from_blocks(kinds, signs) -> np.ndarray:
     """Natural-order row with these block kinds and signs, the inverse of (c, e): a_k is
     block k's sign, and a_{k+2n} is that sign on an even block and its negative on an odd one."""
-    if len(kinds) != len(signs) or len(kinds) % 2 != 0:
-        raise ValueError("need an even number of (kind, sign) pairs")
+    if len(kinds) != len(signs) or len(kinds) % 2 != 0 or not len(kinds):
+        raise ValueError("need a positive even number of (kind, sign) pairs")
     if not all_signs(signs):
         raise ValueError("block signs must all be +1 or -1")
     kinds = np.asarray(kinds, dtype=object)
@@ -126,45 +92,13 @@ def assemble_block_matrix(system: BlockSystem) -> SignMatrix:
     block-row to the start of the next (col < r) appears twisted, which flips
     the sign of e_k.
     """
-    _, c, e = _halves(system)
+    _, c, e = system._halves
     k = (np.arange(c.size) - np.arange(c.size)[:, None]) % c.size
     ek = np.where(np.tri(c.size, k=-1, dtype=bool), -e[k], e[k])
     out = np.empty((2 * c.size, 2 * c.size), dtype=np.int64)
     out[0::2, 0::2] = out[1::2, 1::2] = c[k] + ek
     out[0::2, 1::2] = out[1::2, 0::2] = c[k] - ek
     return SignMatrix(out)
-
-
-@dataclass(frozen=True)
-class PairInfo:
-    i: int
-    j: int
-    kind: str
-    difference: int
-    conjugate_difference: int
-    sign: int
-
-
-def _check_indices(system: BlockSystem, *indices: int) -> None:
-    if not all(0 <= idx < system.block_count for idx in indices):
-        raise ValueError(f"block indices {indices} must lie in 0..{system.block_count - 1}")
-
-
-def pair_info(system: BlockSystem, i: int, j: int) -> PairInfo:
-    """Difference and sign of the ordered same-kind pair (i, j)."""
-    _check_indices(system, i, j)
-    if i == j:
-        raise ValueError("pair indices must be distinct")
-    bi, bj = system.blocks[i], system.blocks[j]
-    if bi.kind != bj.kind:
-        raise ValueError(f"blocks {i} ({bi.kind}) and {j} ({bj.kind}) are of different kinds")
-    m2 = system.block_count
-    d = (j - i) % m2
-    if bi.kind == "even":
-        sign = bi.sign * bj.sign
-    else:
-        sign = bi.sign * bj.sign if i < j else -(bi.sign * bj.sign)
-    return PairInfo(i=i, j=j, kind=bi.kind, difference=d, conjugate_difference=m2 - d, sign=sign)
 
 
 @dataclass
@@ -185,7 +119,7 @@ class ConditionsReport:
 
 def conditions_report(system: BlockSystem) -> ConditionsReport:
     """Balance, difference-parity and symmetry conditions of a block system."""
-    even, _, _ = _halves(system)
+    even, _, _ = system._halves
     # a kind's ordered pairs at difference d: the cyclic autocorrelation at d of its 0/1 indicator
     counts = {k: _autocorrelation(s)[1:].tolist() for k, s in (("even", even), ("odd", 1 - even))}
     differences = {k: {d: c for d, c in enumerate(cs, start=1) if c} for k, cs in counts.items()}
@@ -242,7 +176,7 @@ def matching_report(system: BlockSystem, kind: str) -> MatchReport:
     if kind not in ("even", "odd"):
         raise ValueError(f"unknown block kind {kind!r}")
     odd = kind == "odd"
-    x = _halves(system)[2 if odd else 1].tolist()  # the kind's block signs, 0 on the other kind
+    x = system._halves[2 if odd else 1].tolist()  # the kind's block signs, 0 on the other kind
     sums = _autocorrelation(x, -1 if odd else 1, system.n + 1).tolist()
     m2, positions = len(x), [i for i, v in enumerate(x) if v]
     matching: list[tuple[Pair, Pair]] = []
@@ -267,55 +201,3 @@ def matching_report(system: BlockSystem, kind: str) -> MatchReport:
         if d < system.n:
             matching.extend((p[::-1], q[::-1]) for p, q in found)
     return MatchReport(kind=kind, perfect_matching_found=True, matching=matching)
-
-
-@dataclass
-class QuadrupleRemainders:
-    """Match structure inside one symmetric odd quadruple {i, j, i', j'}."""
-
-    quadruple: tuple[int, int, int, int]
-    cross_matched: bool  # (i,j) ~ (i',j') when true, else (j,i') ~ (j',i)
-    remainders: tuple[Pair, Pair]
-    remainder_conjugates: tuple[Pair, Pair]
-
-
-def quadruple_remainders(system: BlockSystem, i: int, j: int) -> QuadrupleRemainders:
-    """Remainder pairs of the quadruple built from two symmetric odd blocks.
-
-    The self-conjugate pairs (i,i') and (j,j') always match; of the two diagonal
-    couples exactly one matches, and the other, with its conjugates, remains.
-    """
-    _check_indices(system, i, j)
-    if not i < j:
-        raise ValueError("need i < j")
-    for idx in (i, j):
-        if system.blocks[idx].kind != "odd":
-            raise ValueError(f"block {idx} is not odd")
-        if system.partner(idx) is None:
-            raise ValueError(f"block {idx} is not symmetric (no same-kind partner at distance n)")
-    ip = (i + system.n) % system.block_count
-    jp = (j + system.n) % system.block_count
-    if len({i, j, ip, jp}) != 4:
-        raise ValueError("the four blocks of the quadruple are not distinct")
-
-    def matches(p: Pair, q: Pair) -> bool:
-        a, b = pair_info(system, *p), pair_info(system, *q)
-        return a.difference == b.difference and a.sign == -b.sign
-
-    cross = matches((i, j), (ip, jp))
-    other = matches((j, ip), (jp, i))
-    if cross == other:
-        raise RuntimeError(
-            f"quadruple dichotomy violated for blocks {i},{j}: both branches {cross}"
-        )
-    if cross:
-        remainders = ((j, ip), (jp, i))
-    else:
-        remainders = ((i, j), (ip, jp))
-    conj = tuple((b, a) for a, b in remainders)
-    return QuadrupleRemainders(
-        quadruple=(i, j, ip, jp),
-        cross_matched=cross,
-        remainders=remainders,
-        remainder_conjugates=conj,
-    )

@@ -1,64 +1,74 @@
 import contextlib
 import hashlib
 import io
+import itertools
 
 import numpy as np
 import pytest
 
 from circhad import (
-    Block2,
     assemble_block_matrix,
     block_system,
     circulant_from_row,
     conditions_report,
     matching_report,
-    pair_info,
     paf,
     paf_is_flat,
     paired_listing,
-    quadruple_remainders,
     rg_matrix,
     row_from_blocks,
-    twist,
 )
-from circhad.blocks import BlockSystem
 from circhad.cli import main
-from sign_reference import mask_to_signs
+from sign_reference import mask_to_signs, same_kind_pairs
 
-ALL_BLOCKS = [Block2(1, 1), Block2(-1, -1), Block2(1, -1), Block2(-1, 1)]
+# (c_k, e_k) of the blocks (+,+), (-,-), (+,-) and (-,+): even +, even -, odd +, odd -
+ALL_BLOCKS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 BLOCKED = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, -1, 1, 1]])
 
 
+def block_entries(c, e):
+    """The block [[c+e, c-e], [c-e, c+e]] whose half-sequence values are c and e."""
+    return np.array([[c + e, c - e], [c - e, c + e]])
+
+
+def kinds_and_signs(system):
+    """(kind, sign) of each block, read off the half sequences: block k is even with
+    sign c_k where S_k = 1, else odd with sign e_k."""
+    S, c, e = system._halves
+    return [("even", int(ck)) if s else ("odd", int(ek)) for s, ck, ek in zip(S, c, e)]
+
+
 def test_block_kinds_and_signs():
-    assert (Block2(1, 1).kind, Block2(1, 1).sign) == ("even", 1)
-    assert (Block2(-1, -1).kind, Block2(-1, -1).sign) == ("even", -1)
-    assert (Block2(1, -1).kind, Block2(1, -1).sign) == ("odd", 1)
-    assert (Block2(-1, 1).kind, Block2(-1, 1).sign) == ("odd", -1)
+    # one row holding the four blocks
+    S, c, e = block_system([1, -1, 1, -1, 1, -1, -1, 1])._halves
+    assert S.tolist() == [1, 1, 0, 0]
+    assert list(zip(c.tolist(), e.tolist())) == ALL_BLOCKS
 
 
 def test_block_entry_shape():
-    b = Block2(1, -1)
-    assert b.entries.tolist() == [[1, -1], [-1, 1]]
+    top = assemble_block_matrix(block_system([1, -1, 1, -1, 1, -1, -1, 1])).entries[:2]
+    for k, (c, e) in enumerate(ALL_BLOCKS):
+        assert np.array_equal(top[:, 2 * k : 2 * k + 2], block_entries(c, e))
+    assert block_entries(0, 1).tolist() == [[1, -1], [-1, 1]]
 
 
 def test_block_system_of_eq1_row():
     system = block_system([1, 1, 1, -1])
-    assert [(b.kind, b.sign) for b in system.blocks] == [("even", 1), ("odd", 1)]
+    assert kinds_and_signs(system) == [("even", 1), ("odd", 1)]
     assert system.n == 1
 
 
 def test_block_system_all_plus():
-    system = block_system([1] * 8)
-    assert all(b.kind == "even" for b in system.blocks)
-    assert len(system.kind_positions("odd")) == 0
-    assert len(system.kind_positions("even")) == 4
+    S, c, e = block_system([1] * 8)._halves
+    assert S.tolist() == c.tolist() == [1] * 4
+    assert not e.any()
 
 
 def test_block_system_paired_layout_of_16x16_display_row():
     row = [1, 1, 1, -1, 1, 1, 1, -1, 1, 1, 1, -1, -1, -1, -1, 1]
     system = block_system(row, layout="paired")
-    assert [(b.kind, b.sign) for b in system.blocks] == [
+    assert kinds_and_signs(system) == [
         ("even", 1), ("odd", 1), ("even", 1), ("odd", 1),
         ("even", 1), ("odd", 1), ("even", -1), ("odd", -1),
     ]
@@ -74,8 +84,8 @@ def test_block_system_layouts_agree():
         paired[1::2] = natural[half:]
         a = block_system(natural)
         b = block_system(paired, layout="paired")
-        assert a.blocks == b.blocks
-        assert a.source_row == b.source_row
+        assert a == b
+        assert a.source_row == tuple(natural.tolist())
 
 
 def test_block_system_rejects_bad_input():
@@ -88,30 +98,27 @@ def test_block_system_rejects_bad_input():
 
 
 def test_twist_rules():
-    assert twist(Block2(1, -1)) == Block2(-1, 1)
-    assert twist(Block2(1, 1)) == Block2(1, 1)
-    for b in ALL_BLOCKS:
-        assert twist(twist(b)) == b
-        assert twist(b).kind == b.kind
-        if b.kind == "odd":
-            assert np.array_equal(twist(b).entries, -b.entries)
-            assert twist(b).sign == -b.sign
-        else:
-            assert np.array_equal(twist(b).entries, b.entries)
-            assert twist(b).sign == b.sign
+    # the twist swaps a block's columns, which flips the sign of e_k: an even block
+    # stays, an odd one is negated and changes sign
+    for c, e in ALL_BLOCKS:
+        block, twisted = block_entries(c, e), block_entries(c, -e)
+        assert np.array_equal(twisted, block[:, ::-1])
+        assert np.array_equal(twisted, block if e == 0 else -block)
+    # block 1 of [1, 1, 1, -1] wraps into block-row 1, twisted
+    assert np.array_equal(BLOCKED[2:, :2], block_entries(0, -1))
 
 
 def test_block_product_law():
-    # same-kind products are rank-one +-2 patterns, mixed kinds annihilate
+    # a block is c*J + e*K, where J = [[1, 1], [1, 1]] and K = [[1, -1], [-1, 1]] satisfy
+    # J@J = 2J, K@K = 2K and J@K = K@J = 0: same-kind products are rank-one +-2
+    # patterns, mixed kinds annihilate
+    J, K = block_entries(1, 0), block_entries(0, 1)
     for a in ALL_BLOCKS:
         for b in ALL_BLOCKS:
-            product = a.entries @ b.entries
-            if a.kind != b.kind:
-                assert np.all(product == 0)
-            elif a.kind == "even":
-                assert product.tolist() in ([[2, 2], [2, 2]], [[-2, -2], [-2, -2]])
-            else:
-                assert product.tolist() in ([[2, -2], [-2, 2]], [[-2, 2], [2, -2]])
+            product = block_entries(*a) @ block_entries(*b)
+            assert np.array_equal(product, 2 * (a[0] * b[0] * J + a[1] * b[1] * K))
+            if (a[0] == 0) != (b[0] == 0):
+                assert not product.any()
 
 
 def test_assemble_of_eq1_row_is_blocked_display():
@@ -137,8 +144,7 @@ def test_reconstruction_identity_exhaustive(m):
 def test_row_from_blocks_inverts_block_system(m):
     for mask in range(1 << m):
         system = block_system(mask_to_signs(mask, m))
-        kinds = [b.kind for b in system.blocks]
-        signs = [b.sign for b in system.blocks]
+        kinds, signs = zip(*kinds_and_signs(system))
         assert tuple(row_from_blocks(kinds, signs).tolist()) == system.source_row
 
 
@@ -147,6 +153,8 @@ def test_row_from_blocks_rejects_bad_blocks():
         row_from_blocks(["even", "odd", "odd"], [1, 1, 1])
     with pytest.raises(ValueError, match="even number"):
         row_from_blocks(["even", "odd"], [1])
+    with pytest.raises(ValueError, match="positive even number"):
+        row_from_blocks([], [])
     with pytest.raises(ValueError, match="unknown block kind 'diagonal'"):
         row_from_blocks(["even", "odd", "diagonal", "even"], [1, 1, 1, 1])
 
@@ -163,58 +171,45 @@ def test_reconstruction_identity_random_m16():
 def test_pair_info_differences():
     # odd blocks at positions 1 and 3 in a 2n=8 system
     kinds = ["even", "odd", "even", "odd", "even", "even", "even", "even"]
-    system = block_system(row_from_blocks(kinds, [1] * 8))
-    assert pair_info(system, 1, 3).difference == 2
-    assert pair_info(system, 3, 1).difference == 6
-    assert pair_info(system, 1, 3).conjugate_difference == 6
+    pairs = same_kind_pairs(row_from_blocks(kinds, [1] * 8), "odd")
+    assert set(pairs) == {(1, 3), (3, 1)}
+    assert pairs[1, 3][0] == 2
+    assert pairs[3, 1][0] == 6
+    # odd blocks at 1 and 7: the pair (7, 1) wraps, so its sign is -e_7 e_1
+    kinds = ["even", "odd", "even", "even", "even", "even", "even", "odd"]
+    row = row_from_blocks(kinds, [1] * 8)
+    _, _, e = block_system(row)._halves
+    assert same_kind_pairs(row, "odd")[7, 1] == (2, -e[7] * e[1]) == (2, -1)
 
 
 def test_pair_info_difference_conjugate_sum():
+    # the same-kind pairs are the ordered pairs of distinct blocks where c (even) or
+    # e (odd) is not 0, and a pair's difference and its conjugate's add up to 2n
     rng = np.random.default_rng(41)
     for _ in range(20):
         row = rng.choice([1, -1], 16)
-        system = block_system(row)
-        for kind in ("even", "odd"):
-            positions = system.kind_positions(kind)
-            for i in positions:
-                for j in positions:
-                    if i != j:
-                        info = pair_info(system, i, j)
-                        assert info.difference + info.conjugate_difference == 8
-                        assert 1 <= info.difference <= 7
+        _, c, e = block_system(row)._halves
+        for kind, x in (("even", c), ("odd", e)):
+            pairs = same_kind_pairs(row, kind)
+            positions = np.flatnonzero(x).tolist()
+            assert list(pairs) == [(i, j) for i in positions for j in positions if i != j]
+            for (i, j), (d, _) in pairs.items():
+                assert d + pairs[j, i][0] == 8
+                assert 1 <= d <= 7
 
 
 def test_pair_info_sign_symmetry():
+    # a pair's sign is c_i c_j, or e_i e_j negated when an odd pair wraps (j < i), so
+    # reversing an even pair keeps its sign and reversing an odd one flips it
     rng = np.random.default_rng(43)
     for _ in range(20):
         row = rng.choice([1, -1], 16)
-        system = block_system(row)
-        for kind, expected in (("even", 1), ("odd", -1)):
-            positions = system.kind_positions(kind)
-            for i in positions:
-                for j in positions:
-                    if i < j:
-                        s_ij = pair_info(system, i, j).sign
-                        s_ji = pair_info(system, j, i).sign
-                        assert s_ji == expected * s_ij
-
-
-def test_pair_info_rejects_block_indices_out_of_range():
-    # odd blocks at 1 and 7 of a 2n = 8 system: -1 would wrap onto block 7 with the wrong sign
-    kinds = ["even", "odd", "even", "even", "even", "even", "even", "odd"]
-    system = block_system(row_from_blocks(kinds, [1] * 8))
-    assert pair_info(system, 7, 1).sign == -1
-    for i, j in ((-1, 1), (1, -1), (8, 1), (1, 8)):
-        with pytest.raises(ValueError, match="block indices"):
-            pair_info(system, i, j)
-
-
-def test_pair_info_rejects_mixed_kinds():
-    system = block_system([1, 1, 1, -1])
-    with pytest.raises(ValueError):
-        pair_info(system, 0, 1)
-    with pytest.raises(ValueError):
-        pair_info(system, 0, 0)
+        _, c, e = block_system(row)._halves
+        for kind, x, expected in (("even", c, 1), ("odd", e, -1)):
+            pairs = same_kind_pairs(row, kind)
+            for (i, j), (_, sign) in pairs.items():
+                assert sign == x[i] * x[j] * (expected if j < i else 1)
+                assert pairs[j, i][1] == expected * sign
 
 
 def test_conditions_report_eq1():
@@ -248,7 +243,7 @@ def test_symmetry_flags():
     assert report.symmetric_partner[2] is None
     assert not report.all_symmetric["odd"]
     assert report.all_symmetric["even"] == (
-        all(report.symmetric_partner[i] is not None for i in system.kind_positions("even"))
+        all(report.symmetric_partner[i] is not None for i in np.flatnonzero(system._halves[0]))
     )
 
 
@@ -256,9 +251,14 @@ def test_symmetry_flags():
 @pytest.mark.parametrize("m", [4, 8, 12])
 def test_all_symmetric_is_one_flag_for_both_kinds(m, layout):
     # a block without a same-kind partner at i + n leaves block i + n, of the other kind, without one
+    n = m // 4
     for mask in range(1 << m):
-        system = block_system(mask_to_signs(mask, m), layout=layout)
-        per_kind = {kind: all(system.partner(i) is not None for i in system.kind_positions(kind))
+        row = mask_to_signs(mask, m)
+        system = block_system(row, layout=layout)
+        natural = row if layout == "natural" else np.concatenate([row[0::2], row[1::2]])
+        even = [natural[k] == natural[k + 2 * n] for k in range(2 * n)]
+        per_kind = {kind: all(even[(i + n) % (2 * n)] == even[i]
+                              for i in range(2 * n) if even[i] == (kind == "even"))
                     for kind in ("even", "odd")}
         assert conditions_report(system).all_symmetric == per_kind
         assert per_kind["even"] == per_kind["odd"]
@@ -286,16 +286,14 @@ def test_matching_two_odd_blocks_elsewhere_fails():
     assert report.failure_certificate is not None
 
 
-def brute_force_matching(system: BlockSystem, kind: str) -> bool:
+def brute_force_matching(row, kind: str) -> bool:
     # whole-set backtracking over ordered pairs with conjugate coupling,
     # no class decomposition; the independent oracle for matching_report
-    positions = system.kind_positions(kind)
-    pairs = [(i, j) for i in positions for j in positions if i != j]
-    info = {p: pair_info(system, *p) for p in pairs}
+    info = same_kind_pairs(row, kind)
     failed = set()
 
     def compatible(p, q):
-        return info[p].difference == info[q].difference and info[p].sign == -info[q].sign
+        return info[p][0] == info[q][0] and info[p][1] == -info[q][1]
 
     def backtrack(remaining):
         if not remaining:
@@ -317,25 +315,27 @@ def brute_force_matching(system: BlockSystem, kind: str) -> bool:
         failed.add(remaining)
         return False
 
-    return backtrack(frozenset(pairs))
+    return backtrack(frozenset(info))
 
 
 def test_matching_agrees_with_brute_force_exhaustive_m8():
     for mask in range(1 << 8):
-        system = block_system(mask_to_signs(mask, 8))
+        row = mask_to_signs(mask, 8)
+        system = block_system(row)
         for kind in ("even", "odd"):
             assert matching_report(system, kind).perfect_matching_found == brute_force_matching(
-                system, kind
+                row, kind
             )
 
 
 def test_matching_agrees_with_brute_force_random_m16():
     rng = np.random.default_rng(47)
     for _ in range(60):
-        system = block_system(rng.choice([1, -1], 16))
+        row = rng.choice([1, -1], 16)
+        system = block_system(row)
         for kind in ("even", "odd"):
             assert matching_report(system, kind).perfect_matching_found == brute_force_matching(
-                system, kind
+                row, kind
             )
 
 
@@ -343,21 +343,21 @@ def test_matching_witness_pairs_are_valid():
     rng = np.random.default_rng(53)
     checked = 0
     while checked < 15:
-        system = block_system(rng.choice([1, -1], 16))
-        report = matching_report(system, "odd")
+        row = rng.choice([1, -1], 16)
+        report = matching_report(block_system(row), "odd")
         if not report.perfect_matching_found or not report.matching:
             continue
         checked += 1
+        pairs = same_kind_pairs(row, "odd")
         seen = set()
         for p, q in report.matching:
-            a, b = pair_info(system, *p), pair_info(system, *q)
-            assert a.difference == b.difference
-            assert a.sign == -b.sign
+            (dp, sp), (dq, sq) = pairs[p], pairs[q]
+            assert dp == dq
+            assert sp == -sq
             assert p not in seen and q not in seen
             seen.add(p)
             seen.add(q)
-        positions = system.kind_positions("odd")
-        assert len(seen) == len(positions) * (len(positions) - 1)
+        assert seen == set(pairs)
 
 
 def half_sequences(row):
@@ -376,21 +376,25 @@ def negacyclic_af(e, d):
     return int(np.dot(e[:-d], e[d:]) - np.dot(e[-d:], e[:d]))
 
 
-def class_sign_sum(system, kind, d):
-    positions = system.kind_positions(kind)
-    return sum(pair_info(system, i, j).sign for i in positions for j in positions
-               if i != j and (j - i) % system.block_count == d)
+def class_sign_sums(row, kind):
+    """The sum of the pair signs of each difference class d, at index d (index 0 is unused)."""
+    sums = [0] * (len(row) // 2)
+    for d, sign in same_kind_pairs(row, kind).values():
+        sums[d] += sign
+    return sums
 
 
 @pytest.mark.parametrize("m", [4, 8, 12])
 def test_class_sign_sums_are_half_sequence_autocorrelations(m):
     for mask in range(1 << m):
         row = mask_to_signs(mask, m)
-        system = block_system(row)
-        c, e = half_sequences(row)
-        for d in range(1, system.block_count):
-            assert class_sign_sum(system, "even", d) == periodic_af(c, d)
-            assert class_sign_sum(system, "odd", d) == negacyclic_af(e, d)
+        S, c, e = block_system(row)._halves
+        assert [c.tolist(), e.tolist()] == [x.tolist() for x in half_sequences(row)]
+        assert S.tolist() == (c != 0).tolist()
+        even, odd = class_sign_sums(row, "even"), class_sign_sums(row, "odd")
+        for d in range(1, m // 2):
+            assert even[d] == periodic_af(c, d)
+            assert odd[d] == negacyclic_af(e, d)
 
 
 @pytest.mark.parametrize("m", [4, 8, 12])
@@ -499,76 +503,51 @@ def test_analyze_output_is_pinned(rows, layout, digest):
     assert analyze_digest(rows, layout) == digest
 
 
-def _symmetric_odd_system(odd_signs, even_signs=(1, 1, 1, 1)):
-    # odd blocks at 0, 1, 4, 5 of a 2n = 8 system; 0<->4 and 1<->5 are partners
-    kinds = ["odd", "odd", "even", "even", "odd", "odd", "even", "even"]
-    signs = [odd_signs[0], odd_signs[1], even_signs[0], even_signs[1],
-             odd_signs[2], odd_signs[3], even_signs[2], even_signs[3]]
-    return block_system(row_from_blocks(kinds, signs))
+def quadruple_row(i, j, bits):
+    # odd blocks at i, j, i + 4 and j + 4 of a 2n = 8 system, so i<->i+4 and j<->j+4 are
+    # partners, signed by bits 0..3 of `bits` in that order; the even blocks are +
+    odd = (i, j, i + 4, j + 4)
+    signs = iter(1 if (bits >> k) & 1 else -1 for k in range(4))
+    return row_from_blocks(["odd" if p in odd else "even" for p in range(8)],
+                           [next(signs) if p in odd else 1 for p in range(8)])
 
 
 def test_quadruple_remainders_structure():
+    # the quadruple {0, 1, 4, 5}: (0,1)~(4,5) match when e_0 e_1 e_4 e_5 = -1, else
+    # (1,4)~(5,0) do; the other couple remains, and its pairs, like their conjugates,
+    # agree in difference and in sign
     for bits in range(16):
-        signs = [1 if (bits >> k) & 1 else -1 for k in range(4)]
-        system = _symmetric_odd_system(signs)
-        result = quadruple_remainders(system, 0, 1)
-        assert result.quadruple == (0, 1, 4, 5)
-        p, q = result.remainders
-        a, b = pair_info(system, *p), pair_info(system, *q)
-        # the leftover pairs agree in difference and in sign
-        assert a.difference == b.difference
-        assert a.sign == b.sign
-        cp, cq = result.remainder_conjugates
-        ca, cb = pair_info(system, *cp), pair_info(system, *cq)
-        assert ca.difference == cb.difference
-        assert ca.sign == cb.sign
-        if result.cross_matched:
-            assert set(result.remainders) == {(1, 4), (5, 0)}
-        else:
-            assert set(result.remainders) == {(0, 1), (4, 5)}
+        row = quadruple_row(0, 1, bits)
+        _, _, e = block_system(row)._halves
+        cross_matched = e[0] * e[1] * e[4] * e[5] == -1
+        p, q = ((1, 4), (5, 0)) if cross_matched else ((0, 1), (4, 5))
+        pairs = same_kind_pairs(row, "odd")
+        assert pairs[p] == pairs[q]
+        assert pairs[p[::-1]] == pairs[q[::-1]]
 
 
 def test_quadruple_dichotomy_exhaustive_m16():
-    # every placement of two symmetric odd pairs and every sign assignment
-    # resolves to exactly one matching branch (the checker raises otherwise)
-    def match(system, p, q):
-        a, b = pair_info(system, *p), pair_info(system, *q)
-        return a.difference == b.difference and a.sign == -b.sign
-
+    # every placement of two symmetric odd pairs and every sign assignment resolves
+    # to exactly one matching branch, read off the sign of e_i e_j e_i' e_j'
     cases = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            odd_positions = {i, j, i + 4, j + 4}
-            kinds = ["odd" if p in odd_positions else "even" for p in range(8)]
-            for bits in range(16):
-                signs_by_pos = iter(1 if (bits >> k) & 1 else -1 for k in range(4))
-                signs = [next(signs_by_pos) if kind == "odd" else 1 for kind in kinds]
-                system = block_system(row_from_blocks(kinds, signs))
-                result = quadruple_remainders(system, i, j)
-                ip, jp = i + 4, j + 4
-                cross = match(system, (i, j), (ip, jp))
-                adjacent = match(system, (j, ip), (jp, i))
-                assert cross != adjacent
-                assert result.cross_matched == cross
-                # the self-conjugate pairs always match
-                assert match(system, (i, ip), (ip, i))
-                assert match(system, (j, jp), (jp, j))
-                cases += 1
+    for i, j in itertools.combinations(range(4), 2):
+        ip, jp = i + 4, j + 4
+        for bits in range(16):
+            row = quadruple_row(i, j, bits)
+            pairs = same_kind_pairs(row, "odd")
+
+            def match(p, q):
+                return pairs[p][0] == pairs[q][0] and pairs[p][1] == -pairs[q][1]
+
+            _, _, e = block_system(row)._halves
+            product = e[i] * e[j] * e[ip] * e[jp]
+            cross = match((i, j), (ip, jp))
+            adjacent = match((j, ip), (jp, i))
+            assert cross != adjacent
+            assert cross == (product == -1)
+            assert adjacent == (product == 1)
+            # the self-conjugate pairs always match
+            assert match((i, ip), (ip, i))
+            assert match((j, jp), (jp, j))
+            cases += 1
     assert cases == 6 * 16
-
-
-def test_quadruple_remainders_preconditions():
-    system = _symmetric_odd_system([1, 1, 1, 1])
-    for i, j in ((-4, 1), (0, 8)):  # -4 would wrap onto block 4, i's own partner
-        with pytest.raises(ValueError, match="block indices"):
-            quadruple_remainders(system, i, j)
-    with pytest.raises(ValueError):
-        quadruple_remainders(system, 1, 0)
-    with pytest.raises(ValueError):
-        quadruple_remainders(system, 0, 2)  # block 2 is even
-    with pytest.raises(ValueError):
-        quadruple_remainders(system, 0, 4)  # j is i's own partner
-    kinds = ["odd", "odd", "even", "even", "odd", "even", "even", "even"]
-    lopsided = block_system(row_from_blocks(kinds, [1] * 8))
-    with pytest.raises(ValueError):
-        quadruple_remainders(lopsided, 0, 1)  # block 1 has no partner

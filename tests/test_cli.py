@@ -16,12 +16,13 @@ import pytest
 
 import circhad
 import circhad.searchengine as engine
-from circhad import block_system, group_by_name, is_rg_matrix, matching_report, pair_info
+from circhad import block_system, group_by_name, is_rg_matrix, matching_report
 from circhad import parse_matrix_document
 from circhad.cli import _parse_row, main
 from circhad.groupring import RECOVERY_NODE_BUDGET
 from circhad.groups import Listing
 from circhad.searchengine import _npkernel
+from sign_reference import same_kind_pairs
 
 EQ1_TEXT = "+++-\n-+++\n+-++\n++-+\n"
 
@@ -249,13 +250,12 @@ def test_analyze_paired_layout(capsys):
     assert payload["conditions"]["odd_count"] == 4
 
 
-def balanced_classes(system, kind):
-    """Whether every difference class d <= n holds as many + as - pairs, read off pair_info."""
+def balanced_classes(row, kind):
+    """Whether every difference class d <= n holds as many + as - pairs, read off the row."""
     totals = {}
-    for i, j in itertools.permutations(system.kind_positions(kind), 2):
-        info = pair_info(system, i, j)
-        if info.difference <= system.n:
-            totals[info.difference] = totals.get(info.difference, 0) + info.sign
+    for d, sign in same_kind_pairs(row, kind).values():
+        if d <= len(row) // 4:
+            totals[d] = totals.get(d, 0) + sign
     return not any(totals.values())
 
 
@@ -281,9 +281,8 @@ def test_analyze_of_an_order_256_row_finishes():
     proc = subprocess.run([sys.executable, "-m", "circhad", "analyze", "--row", row, "--format", "json"],
                           env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
-    system = block_system(signs)
     for kind, report in json.loads(proc.stdout)["matching"].items():
-        assert report["perfect_matching_found"] == balanced_classes(system, kind)
+        assert report["perfect_matching_found"] == balanced_classes(signs, kind)
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,11 +302,12 @@ def test_closed_stdout_pipe_exits_141_quietly(argv):
 
 
 def test_matching_report_of_an_order_1024_row_finishes():
-    system = block_system(np.random.default_rng(2).choice([1, -1], 1024))
+    row = np.random.default_rng(2).choice([1, -1], 1024)
+    system = block_system(row)
     for kind in ("even", "odd"):
         with deadline(10):
             report = matching_report(system, kind)
-        assert report.perfect_matching_found == balanced_classes(system, kind)
+        assert report.perfect_matching_found == balanced_classes(row, kind)
 
 
 def test_analyze_rejects_garbage(capsys):

@@ -195,11 +195,22 @@ def test_seed_is_chunked_when_the_prefixes_outnumber_the_cap(monkeypatch):
     prefixes = list(range(0, 1 << depth, 3))
     assert len(prefixes) > cap
     monkeypatch.setattr(_npkernel, "FRONTIER_CAP", cap)
+    # the kernel reads the signs of every seed chunk, frontier and set of leaves it holds
+    widths = []
+    mask_signs = _npkernel._mask_signs
+
+    def recording_mask_signs(masks, count):
+        widths.append(len(masks))
+        return mask_signs(masks, count)
+
+    monkeypatch.setattr(_npkernel, "_mask_signs", recording_mask_signs)
     for filters in ((False, adm_mask, True, True, 1 << 31), (True, adm_mask, True, True, 0),
                     (False, adm_mask, False, False, 1 << 28)):
         expected = scanned(_pykernel, m, prefixes, depth, *filters)
         assert [entry[0] for entry in expected] == prefixes
         assert scanned(_npkernel, m, prefixes, depth, *filters) == expected, filters
+    # a seed chunk of 32 prefixes fills the cap, and no array of nodes outgrows it
+    assert max(widths) == cap
 
 
 def test_default_frontier_cap_scans_like_a_small_one(monkeypatch):
