@@ -75,8 +75,8 @@ def _group_of_order(name: str, n: int) -> Group:
 
 
 def _cmd_verify(args) -> int:
-    doc = parse_matrix_document(Path(args.file).read_text())
-    matrix = doc.to_sign_matrix()
+    doc = parse_matrix_document(Path(args.file).read_bytes())
+    matrix = doc.matrix
     report = is_hadamard(matrix)
 
     rg_info = None
@@ -163,10 +163,8 @@ def _cmd_construct(args) -> int:
         factor = FAMILIES[args.extend]()
         for _ in range(args.times):
             construction = kronecker_extend(construction, factor)
-    doc = MatrixDocument.from_sign_matrix(construction.matrix)
-    doc.group = construction.group.name
-    if construction.listing is not None:
-        doc.listing = construction.listing.perm
+    listing = None if construction.listing is None else construction.listing.perm
+    doc = MatrixDocument(construction.matrix, construction.group.name, listing)
     text = emit_matrix_document(doc, args.format)
     if args.out:
         Path(args.out).write_text(text)
@@ -176,9 +174,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    doc = parse_matrix_document(Path(args.file).read_text())
+    doc = parse_matrix_document(Path(args.file).read_bytes())
     group = _group_of_order(args.group, doc.order)
-    matrix = doc.to_sign_matrix()
+    matrix = doc.matrix
     listing = _header_listing(doc, matrix, group) or recover_listing(matrix, group)
     perm = None if listing is None else list(listing.perm)
     payload = {"report": "recover", "group": group.name, "found": perm is not None, "listing": perm}

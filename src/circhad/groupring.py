@@ -22,7 +22,7 @@ from .signs import all_signs
 # of search on a shared 2-vCPU x86-64 VM.
 RECOVERY_NODE_BUDGET = 500_000
 
-# Rows that `is_rg_matrix` compares at once: an int32 index and a coefficient
+# Rows that `is_rg_matrix` compares at once: an int16 index and a coefficient
 # block of 64 x n each, against n x n for the whole matrix.
 RG_BLOCK_ROWS = 64
 

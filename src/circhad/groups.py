@@ -1,9 +1,10 @@
 """Finite groups as dense index tables, and the listings that order their elements.
 
 Elements are integers 0..order-1 with 0 always the identity. Multiplication and
-inverse are full lookup tables, which keeps products O(1) during matrix
-construction. A Listing is a permutation of the element indices; it fixes the
-row/column layout of the matrices built in :mod:`circhad.groupring`.
+inverse are full int16 lookup tables, which keeps products O(1) during matrix
+construction; every index fits, as no order exceeds MAX_GROUP_ORDER. A Listing
+is a permutation of the element indices; it fixes the row/column layout of the
+matrices built in :mod:`circhad.groupring`.
 """
 
 from __future__ import annotations
@@ -21,16 +22,19 @@ class Group:
     """Finite group on indices 0..order-1 with full multiplication/inverse tables."""
 
     def __init__(self, name: str, mul_table, inv_table=None):
-        mul = np.asarray(mul_table, dtype=np.int32)
+        mul = np.asarray(mul_table)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] == 0:
             raise ValueError(f"mul_table must be a nonempty square table, got shape {mul.shape}")
         n = int(mul.shape[0])
+        if n > MAX_GROUP_ORDER:
+            raise CapacityError(f"order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("mul_table entries out of range")
+        mul = mul.astype(np.int16, copy=False)
         if inv_table is None:
             inv = _derive_inverses(mul)
         else:
-            inv = np.asarray(inv_table, dtype=np.int32)
+            inv = np.asarray(inv_table, dtype=np.int16)
             if inv.shape != (n,):
                 raise ValueError(f"inv_table length {inv.shape} does not match order {n}")
         self.name = str(name)
@@ -104,6 +108,8 @@ class Group:
                 raise ValueError("mul_table is not associative")
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Group):
             return NotImplemented
         return self.order == other.order and np.array_equal(self.mul_table, other.mul_table)
@@ -117,7 +123,7 @@ class Group:
 
 def _derive_inverses(mul: np.ndarray) -> np.ndarray:
     n = mul.shape[0]
-    inv = np.full(n, -1, dtype=np.int32)
+    inv = np.full(n, -1, dtype=np.int16)
     for a in range(n):
         hits = np.flatnonzero(mul[a] == 0)
         if len(hits) != 1 or mul[hits[0], a] != 0:
@@ -132,10 +138,10 @@ def cyclic_group(n: int) -> Group:
         raise ValueError(f"group order must be positive, got {n}")
     if n > MAX_GROUP_ORDER:
         raise CapacityError(f"order {n} exceeds the supported maximum {MAX_GROUP_ORDER}")
-    idx = np.arange(n, dtype=np.int32)
-    mul = (idx[:, None] + idx[None, :]) % n
-    inv = (-idx) % n
-    return Group(f"C{n}", mul, inv)
+    idx = np.arange(n, dtype=np.int16)
+    mul = idx[:, None] + idx[None, :]
+    mul %= n
+    return Group(f"C{n}", mul, (-idx) % n)
 
 
 def direct_product(g: Group, h: Group) -> Group:
@@ -148,11 +154,11 @@ def direct_product(g: Group, h: Group) -> Group:
     gm = g.mul_table
     hm = h.mul_table
     # mul[(a1,b1),(a2,b2)] = (a1*a2, b1*b2), all four coordinates broadcast at
-    # once; int32 throughout, since no index exceeds MAX_GROUP_ORDER.
+    # once into the one int16 table; no index exceeds MAX_GROUP_ORDER.
     mul = (
-        gm[:, None, :, None] * np.int32(h.order) + hm[None, :, None, :]
+        gm[:, None, :, None] * np.int16(h.order) + hm[None, :, None, :]
     ).reshape(order, order)
-    inv = (g.inv_table[:, None] * np.int32(h.order) + h.inv_table[None, :]).reshape(order)
+    inv = (g.inv_table[:, None] * np.int16(h.order) + h.inv_table[None, :]).reshape(order)
     return Group(f"{g.name}x{h.name}", mul, inv)
 
 

@@ -3,12 +3,13 @@
 Every verdict here is exact. Matrices are stored as int8 +-1 entries, which
 hold every value exactly; sums over them (row and column sums, negative
 counts) are taken in int64, and products go through float32. The gram product
-is the ground-truth oracle; it runs as a float32 BLAS product, which is exact
+is the ground-truth oracle; it runs as float32 BLAS products, which are exact
 because every entry and partial sum of a +-1 gram product is an integer of
 magnitude at most n, and float32 holds every integer up to 2^24 exactly; an
 n x n matrix with n > 2^24 would not fit in memory. `is_hadamard` multiplies
-one block of rows at a time against the rows from that block on, which covers
-the upper triangle of the symmetric product with the same flops as a full one.
+tiles of GRAM_BLOCK_ROWS rows, each converted to float32 as it is used, and
+only the tiles on or above the diagonal of the symmetric product, so no
+float32 copy of the whole matrix is made.
 The periodic autocorrelation view of circulants is a fast equivalent route that
 the tests cross-check against it rather than trust.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from .groupring import as_sign_array
 from .signs import all_signs
 
-# Rows of the gram product that `is_hadamard` computes at once.
+# Rows of a tile of the gram product that `is_hadamard` computes at once.
 GRAM_BLOCK_ROWS = 128
 
 
@@ -50,26 +51,30 @@ def is_hadamard(m) -> GramReport:
     """Full gram report; the flag is true iff M M^T equals size * identity."""
     arr = as_sign_array(m)
     n = arr.shape[0]
-    f = arr.astype(np.float32)
     diag: set[int] = set()
     max_off = 0
     for start in range(0, n, GRAM_BLOCK_ROWS):
-        # Rows start.. of the product, from column start on: M M^T is
-        # symmetric, so these blocks hold every entry up to transposition.
-        # Exact in any summation order: every partial sum is an integer of
-        # magnitude <= n <= 2^24.
-        g = f[start : start + GRAM_BLOCK_ROWS] @ f[start:].T
+        rows = arr[start : start + GRAM_BLOCK_ROWS].astype(np.float32)
+        # M M^T is symmetric, so the tiles from the diagonal on hold every
+        # entry up to transposition. Exact in any summation order: every
+        # partial sum is an integer of magnitude <= n <= 2^24.
+        g = rows @ rows.T
         diag.update(map(int, np.diagonal(g).tolist()))
         np.fill_diagonal(g, 0)
         max_off = max(max_off, int(g.max()), int(-g.min()))
+        for other in range(start + GRAM_BLOCK_ROWS, n, GRAM_BLOCK_ROWS):
+            g = rows @ arr[other : other + GRAM_BLOCK_ROWS].astype(np.float32).T
+            max_off = max(max_off, int(g.max()), int(-g.min()))
+    row_sums = arr.sum(axis=1, dtype=np.int64)
     return GramReport(
         size=n,
         is_hadamard=(diag == {n} and max_off == 0),
         diagonal_values=diag,
         max_off_diagonal=max_off,
-        row_sums=arr.sum(axis=1, dtype=np.int64).tolist(),
+        row_sums=row_sums.tolist(),
         col_sums=arr.sum(axis=0, dtype=np.int64).tolist(),
-        negatives_per_row=(arr == -1).sum(axis=1, dtype=np.int64).tolist(),
+        # a row of r entries -1 sums to n - 2r
+        negatives_per_row=((n - row_sums) // 2).tolist(),
     )
 
 

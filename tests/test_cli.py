@@ -370,7 +370,7 @@ def test_recover_and_verify_use_the_header_listing(tmp_path, capsys):
                  "--out", str(path)]) == 0
     doc = parse_matrix_document(path.read_text())
     group = group_by_name("C2xC8xC4")
-    assert is_rg_matrix(doc.to_sign_matrix(), group, Listing(group, doc.listing))
+    assert is_rg_matrix(doc.matrix, group, Listing(group, doc.listing))
     assert main(["recover", "--file", str(path), "--group", "C2xC8xC4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["found"] is True
@@ -440,7 +440,7 @@ def test_recover_without_header_listing_at_order_1024(tmp_path, capsys):
     group = group_by_name("C4xC4xC4xC4xC4")
     assert main(["recover", "--file", str(path), "--group", group.name, "--format", "json"]) == 0
     listing = json.loads(capsys.readouterr().out)["listing"]
-    matrix = parse_matrix_document(path.read_text()).to_sign_matrix()
+    matrix = parse_matrix_document(path.read_text()).matrix
     assert is_rg_matrix(matrix, group, Listing(group, listing))
 
 

@@ -132,6 +132,26 @@ def test_product_order_multiplies():
 def test_product_capacity_limit():
     with pytest.raises(CapacityError):
         direct_product(cyclic_group(64), cyclic_group(32))
+    # int16 holds every index up to the cap, and no table beyond it is taken
+    with pytest.raises(CapacityError):
+        Group("C1025", (np.arange(1025)[:, None] + np.arange(1025)) % 1025)
+
+
+def test_group_equals_itself_without_comparing_tables(monkeypatch):
+    g = group_by_name("C4xC4xC4")
+
+    def no_table_comparison(*args, **kwargs):
+        raise AssertionError("compared two tables")
+
+    monkeypatch.setattr(np, "array_equal", no_table_comparison)
+    assert g == g
+    assert not g != g
+    assert natural_listing(g).group == g
+    monkeypatch.undo()
+    # tables built separately still compare by content
+    same = direct_product(cyclic_group(4), group_by_name("C4xC4"))
+    assert same is not g and same == g and not same != g
+    assert g != cyclic_group(64)
 
 
 def test_paired_listing_values():
@@ -184,9 +204,11 @@ def test_natural_listing_is_identity():
     assert natural_listing(g).perm == tuple(range(6))
 
 
-def test_direct_product_table_is_int32_and_lexicographic():
+def test_direct_product_table_is_int16_and_lexicographic():
     g = direct_product(cyclic_group(4), quaternion_group())
-    assert g.mul_table.dtype == g.inv_table.dtype == np.int32
+    assert g.mul_table.dtype == g.inv_table.dtype == np.int16
+    for h in (cyclic_group(1024), quaternion_group(), group_by_name("C4xC4xC4xC4xC4")):
+        assert h.mul_table.dtype == h.inv_table.dtype == np.int16
     q = quaternion_group()
     for a in range(32):
         for b in range(32):

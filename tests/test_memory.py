@@ -1,13 +1,21 @@
 """Peak traced allocations of the CLI's largest in-process commands.
 
-tracemalloc sees numpy's data buffers as well as Python objects, so these
-bounds do not depend on the allocator or on what the process held before.
-Each bound sits between the peak with int8 storage, a blocked gram and a
-blocked RG check, and the peak with int64 storage and whole-matrix products:
-verify 1024 about 8 MB against 31 MB, construct 1024 about 8 MB against 15 MB,
-and the order-16 crosscheck search about 3.4 MB against 10 MB. Listing recovery
-of the 1024 file without its header peaks at about 10 MB with coded rows and
-bitmasks, against about 55 MB with the matrix and group table as Python lists.
+tracemalloc sees numpy's data buffers and Python's bytes and str objects, so
+these bounds do not depend on the allocator or on what the process held
+before. A matrix stays int8 from the file to the verdict: its text is read as
+bytes into one compact copy without whitespace, the signs are picked out of
+it by one boolean mask, and it is written from one buffer of character codes.
+`is_hadamard` converts tiles of 128 rows to float32 as it multiplies them,
+and group tables are int16. So `verify` of the 1024 file peaks at about
+4.1 MB (4 n^2 bytes while its text is parsed) against 7.3 MB with per-row
+strings, int32 tables and a whole float32 copy; `verify` of a random
+header-less 2048 matrix at about 3.0 n^2 bytes against 7.1 n^2; `construct`
+1024 at about 5.1 MB against 8.1 MB; and the 1024-element group table at
+2.3 MB against 4.6 MB with int32. The order-16 crosscheck search peaks at
+about 3.4 MB against 10 MB with int64 storage and whole-matrix products.
+Listing recovery of the 1024 file without its header peaks at about 6.8 MB
+with coded rows and bitmasks (10 MB with per-row strings and int32 tables),
+against about 55 MB with the matrix and group table as Python lists.
 The serial order-20 search peaks at about 1.3 MB with the kernel's frontier of
 16384 nodes whose masks are their only sign record (m/2 + 10 bytes a node),
 each half gathered on its own, against 2.6 MB with all m sign rows per node
@@ -27,6 +35,7 @@ import pytest
 
 import circhad
 from circhad.cli import main
+from circhad.groups import group_by_name
 
 MB = 1 << 20
 CONSTRUCT_1024 = ["construct", "--family", "c4", "--extend", "c4", "--times", "4"]
@@ -54,7 +63,28 @@ def m1024_file(tmp_path_factory):
 def test_verify_1024_peak(m1024_file, capsys):
     peak = traced_peak(["verify", m1024_file, "--format", "json"])
     assert '"hadamard": true' in capsys.readouterr().out
-    assert peak < 12 * MB, f"verify peaked at {peak / MB:.1f} MB"
+    assert peak < 5 * MB, f"verify peaked at {peak / MB:.1f} MB"
+
+
+def test_verify_random_2048_peak(tmp_path, capsys):
+    n = 2048
+    path = tmp_path / "random2048.txt"
+    codes = np.random.default_rng(2048).choice(np.frombuffer(b"+-", dtype=np.uint8), (n, n))
+    path.write_bytes(np.hstack([codes, np.full((n, 1), ord("\n"), dtype=np.uint8)]).tobytes())
+    peak = traced_peak(["verify", str(path), "--format", "json"], expected_exit=1)
+    assert '"hadamard": false' in capsys.readouterr().out
+    assert peak < 4.5 * n * n, f"verify peaked at {peak / (n * n):.2f} n^2 bytes"
+
+
+def test_group_1024_table_peak():
+    tracemalloc.start()
+    try:
+        group = group_by_name("C4xC4xC4xC4xC4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 1024
+    assert peak < 3 * MB, f"building the group peaked at {peak / MB:.1f} MB"
 
 
 def test_recover_1024_without_header_peak(m1024_file, tmp_path, capsys):
@@ -68,7 +98,7 @@ def test_recover_1024_without_header_peak(m1024_file, tmp_path, capsys):
 
 def test_construct_1024_peak(tmp_path):
     peak = traced_peak(CONSTRUCT_1024 + ["--out", str(tmp_path / "out.txt")])
-    assert peak < 12 * MB, f"construct peaked at {peak / MB:.1f} MB"
+    assert peak < 6 * MB, f"construct peaked at {peak / MB:.1f} MB"
 
 
 def test_crosscheck_search_peak(capsys):
