@@ -165,11 +165,11 @@ def _cmd_construct(args) -> int:
             construction = kronecker_extend(construction, factor)
     listing = None if construction.listing is None else construction.listing.perm
     doc = MatrixDocument(construction.matrix, construction.group.name, listing)
-    text = emit_matrix_document(doc, args.format)
+    data = emit_matrix_document(doc, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_bytes(data)
     else:
-        _print(text)
+        _print(data.decode())
     return 0
 
 

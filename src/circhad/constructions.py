@@ -9,7 +9,6 @@ direct product group with the lexicographic product listing.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +60,8 @@ _Q8C2_SHA256 = "5109ab6c1c6b6066564ea6b2e54a2a8546e1feae31487c5e84b33f5261c953b2
 
 
 def _parse_display(text: str, expected_sha: str) -> np.ndarray:
+    import hashlib  # here, as it loads OpenSSL, which only the 16x16 transcriptions need
+
     canonical = "\n".join(line.replace(" ", "") for line in text.splitlines())
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     if digest != expected_sha:

@@ -2,13 +2,17 @@
 
 Elements are integers 0..order-1 with 0 always the identity. Multiplication and
 inverse are full int16 lookup tables, which keeps products O(1) during matrix
-construction; every index fits, as no order exceeds MAX_GROUP_ORDER. A Listing
+construction; every index fits, as no order exceeds MAX_GROUP_ORDER. A direct
+product knows its name and order at once and builds its tables from its
+factors' the first time either is read, so a caller that needs only the name
+(writing a document's header, say) builds no order^2 table. A Listing
 is a permutation of the element indices; it fixes the row/column layout of the
 matrices built in :mod:`circhad.groupring`.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -37,12 +41,21 @@ class Group:
             inv = np.asarray(inv_table, dtype=np.int16)
             if inv.shape != (n,):
                 raise ValueError(f"inv_table length {inv.shape} does not match order {n}")
-        self.name = str(name)
-        self.order = n
-        self.mul_table = mul
-        self.inv_table = inv
         mul.setflags(write=False)
         inv.setflags(write=False)
+        self.name = str(name)
+        self.order = n
+        self._tables = (mul, inv)
+
+    @property
+    def mul_table(self) -> np.ndarray:
+        """The int16 order x order table: entry [a, b] is the index of a * b."""
+        return self._tables[0]
+
+    @property
+    def inv_table(self) -> np.ndarray:
+        """The int16 table of inverses: entry a is the index of a^-1."""
+        return self._tables[1]
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
@@ -144,22 +157,47 @@ def cyclic_group(n: int) -> Group:
     return Group(f"C{n}", mul, (-idx) % n)
 
 
-def direct_product(g: Group, h: Group) -> Group:
-    """Direct product with indices flattened as i*|H| + j (left factor major)."""
-    order = g.order * h.order
-    if order > MAX_GROUP_ORDER:
-        raise CapacityError(
-            f"product order {g.order}*{h.order}={order} exceeds the supported maximum {MAX_GROUP_ORDER}"
-        )
+class _ProductGroup(Group):
+    """G x H, whose tables are built from its factors' the first time either is read."""
+
+    def __init__(self, g: Group, h: Group):
+        order = g.order * h.order
+        if order > MAX_GROUP_ORDER:
+            raise CapacityError(
+                f"product order {g.order}*{h.order}={order} exceeds the supported maximum {MAX_GROUP_ORDER}"
+            )
+        self.name = f"{g.name}x{h.name}"
+        self.order = order
+        self._factors = (g, h)
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return _product_tables(*self._factors)
+
+
+def _product_tables(g: Group, h: Group) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (mul, inv) tables of G x H, index i*|H| + j for the pair (i, j)."""
     gm = g.mul_table
     hm = h.mul_table
     # mul[(a1,b1),(a2,b2)] = (a1*a2, b1*b2), all four coordinates broadcast at
     # once into the one int16 table; no index exceeds MAX_GROUP_ORDER.
+    order = g.order * h.order
     mul = (
         gm[:, None, :, None] * np.int16(h.order) + hm[None, :, None, :]
     ).reshape(order, order)
     inv = (g.inv_table[:, None] * np.int16(h.order) + h.inv_table[None, :]).reshape(order)
-    return Group(f"{g.name}x{h.name}", mul, inv)
+    mul.setflags(write=False)
+    inv.setflags(write=False)
+    return mul, inv
+
+
+def direct_product(g: Group, h: Group) -> Group:
+    """Direct product with indices flattened as i*|H| + j (left factor major).
+
+    A product larger than MAX_GROUP_ORDER is refused here; its tables are
+    built when first read.
+    """
+    return _ProductGroup(g, h)
 
 
 # Standard presentation: indices 0..7 are +1, -1, +i, -i, +j, -j, +k, -k.

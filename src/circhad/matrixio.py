@@ -10,8 +10,8 @@ text document are read in whole-buffer passes: the inline spaces are deleted
 and every line break becomes "\n" in one `bytes.translate`, and the signs are
 picked out of that compact copy by one boolean mask and converted in place.
 Only the lines before the first row (headers and comments) are read one at a
-time. A row is written the same way, as character codes in one buffer that
-is decoded once.
+time. A row is written the same way, as character codes in the one buffer of
+bytes that the document is written from.
 """
 
 from __future__ import annotations
@@ -192,14 +192,20 @@ def parse_sign_matrix(text: str | bytes) -> SignMatrix:
     return parse_matrix_document(text).matrix
 
 
-def emit_matrix_document(doc: MatrixDocument, fmt: str = "text") -> str:
+def emit_matrix_document(doc: MatrixDocument, fmt: str = "text") -> bytearray:
+    """The UTF-8 bytes of `doc` in either form, which `parse_matrix_document` reads back.
+
+    A text document's header, rows and newlines are written as character
+    codes into the one bytearray returned, so it is never copied to a `str`
+    unless the caller decodes it.
+    """
     if fmt == "json":
         payload = {"format": "matrix", "order": doc.order, "rows": to_text(doc.matrix.entries)}
         if doc.group is not None:
             payload["group"] = doc.group
         if doc.listing is not None:
             payload["listing"] = list(doc.listing)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return bytearray(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
     head = [f"order: {doc.order}"]
     if doc.group is not None:
         head.append(f"group: {doc.group}")
@@ -207,12 +213,12 @@ def emit_matrix_document(doc: MatrixDocument, fmt: str = "text") -> str:
         head.append("listing: " + ",".join(str(x) for x in doc.listing))
     header = "".join(line + "\n" for line in head).encode()
     n = doc.order
-    out = np.empty(len(header) + n * (n + 1), dtype=np.uint8)
-    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    rows = out[len(header) :].reshape(n, n + 1)
+    data = bytearray(len(header) + n * (n + 1))
+    data[: len(header)] = header
+    rows = np.frombuffer(data, dtype=np.uint8)[len(header) :].reshape(n, n + 1)
     to_codes(doc.matrix.entries, rows[:, :n])
     rows[:, n] = _NEWLINE
-    return str(out, "utf-8")
+    return data
 
 
 def _bool(value: bool) -> str:

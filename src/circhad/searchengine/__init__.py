@@ -33,7 +33,6 @@ pending prefixes (`scan_partitions`), and the cost the rows left for the kernel.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -171,6 +170,8 @@ def _auto_partition_depth(available_bits: int, config: SearchConfig) -> int:
 
 
 def _config_fingerprint(config: SearchConfig, depth: int) -> str:
+    import hashlib  # here, as it loads OpenSSL: about 4 MB a process that takes no digest
+
     payload = json.dumps(
         {
             "order": config.order,
@@ -342,9 +343,10 @@ def _scan_forked(units: list[int], work, n: int):
             os.waitpid(pid, 0)
 
 
-def _run_units(units: int, work, cost, parse, config: SearchConfig, fingerprint: str) -> dict:
+def _run_units(units: int, work, cost, parse, config: SearchConfig, fingerprint: str | None) -> dict:
     """Each unit in range(units) with its outcome, from the checkpoint or from work(pending),
-    a generator of (unit, outcome) in unit order; `parse` reads back an outcome's `fields()`.
+    a generator of (unit, outcome) in unit order; `parse` reads back an outcome's `fields()`,
+    and `fingerprint`, None without a checkpoint, names the configuration in its header.
     Work is never asked for no units, nor forked unless `cost(pending)` > `FORK_ABOVE_ROWS`."""
     checkpoint = None if config.checkpoint_path is None else Path(config.checkpoint_path)
     done = {}
@@ -429,7 +431,7 @@ def search(config: SearchConfig) -> SearchResult:
         lambda prefixes: (stage_counts["balance"] >> fixed) * len(prefixes) >> pdepth,
         _PartitionOutcome.parse,
         config,
-        _config_fingerprint(config, pdepth),
+        None if config.checkpoint_path is None else _config_fingerprint(config, pdepth),
     )
 
     t_enumeration = time.perf_counter() - t1

@@ -12,6 +12,7 @@ from circhad import (
     paired_listing,
     quaternion_group,
 )
+from circhad import groups
 from circhad.groups import is_cyclic_table
 
 
@@ -214,6 +215,43 @@ def test_direct_product_table_is_int16_and_lexicographic():
         for b in range(32):
             assert g.mul(a, b) == ((a // 8 + b // 8) % 4) * 8 + q.mul(a % 8, b % 8)
     g.validate(check_associativity=True)
+
+
+def eager_product(name: str) -> Group:
+    """The named product's table built at once, digit by digit of the left-major index."""
+    factors = [group_by_name(part) for part in name.split("x")]
+    n = int(np.prod([f.order for f in factors]))
+    idx, stride = np.arange(n), n
+    mul, inv = np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for f in factors:
+        stride //= f.order
+        digit = idx // stride % f.order
+        mul = mul * f.order + f.mul_table[digit[:, None], digit[None, :]]
+        inv = inv * f.order + f.inv_table[digit]
+    return Group(name, mul, inv)
+
+
+@pytest.mark.parametrize("name", ["C2xC8xC4", "Q8xC2", "C4xC4xC4xC4xC4"])
+def test_product_tables_are_built_once_when_first_read(name, monkeypatch):
+    builds = []
+
+    def counted(g, h):
+        builds.append(f"{g.name}x{h.name}")
+        return product_tables(g, h)
+
+    product_tables = groups._product_tables
+    monkeypatch.setattr(groups, "_product_tables", counted)
+    g = group_by_name(name)
+    assert (g.name, builds) == (name, [])
+    mul = g.mul_table
+    built = len(builds)
+    assert builds.count(name) == 1
+    assert g.mul_table is mul and g.inv_table is g.inv_table
+    assert len(builds) == built
+    eager = eager_product(name)
+    assert np.array_equal(mul, eager.mul_table) and np.array_equal(g.inv_table, eager.inv_table)
+    assert mul.dtype == g.inv_table.dtype == np.int16
+    assert not mul.flags.writeable and not g.inv_table.flags.writeable
 
 
 @pytest.mark.parametrize("name, cyclic", [

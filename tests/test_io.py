@@ -20,6 +20,7 @@ from circhad import (
     parse_sign_matrix,
     search,
 )
+from circhad import groups
 from circhad.cli import main
 from circhad.constructions import FAMILIES, kronecker_extend, with_recovered_listing
 from sign_reference import rows_reference, signs_reference
@@ -99,10 +100,10 @@ def test_text_conversions_match_per_character_reference():
         extended = kronecker_extend(with_recovered_listing(family()), FAMILIES["c2c2"]())
         matrices.append(extended.matrix.entries)
     for entries in matrices:
-        text = emit_matrix_document(MatrixDocument(SignMatrix(entries)))
-        rows = text.splitlines()[1:]
+        data = emit_matrix_document(MatrixDocument(SignMatrix(entries)))
+        rows = data.decode("ascii").splitlines()[1:]
         assert rows == rows_reference(entries)
-        parsed = parse_matrix_document(text.encode()).matrix.entries
+        parsed = parse_matrix_document(data).matrix.entries
         assert parsed.dtype == np.int8
         assert np.array_equal(parsed, signs_reference(rows))
         assert np.array_equal(parsed, entries)
@@ -114,6 +115,21 @@ def test_construct_1024_writes_the_same_bytes(tmp_path):
                  "--out", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "ca79a628db39380fc4fdad77a8def0fb5266ea0ffcf1af3d896aa55ea1acdb2c"
+
+
+def test_construct_1024_builds_no_group_table(tmp_path, monkeypatch, capsys):
+    def no_table(g, h):
+        raise AssertionError(f"built the table of {g.name}x{h.name}")
+
+    monkeypatch.setattr(groups, "_product_tables", no_table)
+    path = tmp_path / "m1024.txt"
+    argv = ["construct", "--family", "c4", "--extend", "c4", "--times", "4"]
+    assert main(argv + ["--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "ca79a628db39380fc4fdad77a8def0fb5266ea0ffcf1af3d896aa55ea1acdb2c"
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 def test_document_header_roundtrip():

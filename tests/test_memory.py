@@ -9,9 +9,13 @@ it by one boolean mask, and it is written from one buffer of character codes.
 and group tables are int16. So `verify` of the 1024 file peaks at about
 4.1 MB (4 n^2 bytes while its text is parsed) against 7.3 MB with per-row
 strings, int32 tables and a whole float32 copy; `verify` of a random
-header-less 2048 matrix at about 3.0 n^2 bytes against 7.1 n^2; `construct`
-1024 at about 5.1 MB against 8.1 MB; and the 1024-element group table at
-2.3 MB against 4.6 MB with int32. The order-16 crosscheck search peaks at
+header-less 2048 matrix at about 3.0 n^2 bytes against 7.1 n^2; and reading
+the 1024-element group table at 2.3 MB against 4.6 MB with int32. A product
+group builds that table only when it is read, and `construct` writes the
+bytes of its one document buffer as they are, so `construct` 1024 peaks at
+about 2.1 MB (2 n^2: the matrix and the buffer) against 5.1 MB with the
+table built for the header's name and the text decoded and encoded again
+(8.1 MB with per-row strings). The order-16 crosscheck search peaks at
 about 3.4 MB against 10 MB with int64 storage and whole-matrix products.
 Listing recovery of the 1024 file without its header peaks at about 6.8 MB
 with coded rows and bitmasks (10 MB with per-row strings and int32 tables),
@@ -79,11 +83,11 @@ def test_verify_random_2048_peak(tmp_path, capsys):
 def test_group_1024_table_peak():
     tracemalloc.start()
     try:
-        group = group_by_name("C4xC4xC4xC4xC4")
+        table = group_by_name("C4xC4xC4xC4xC4").mul_table
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert group.order == 1024
+    assert table.shape == (1024, 1024)
     assert peak < 3 * MB, f"building the group peaked at {peak / MB:.1f} MB"
 
 
@@ -98,7 +102,7 @@ def test_recover_1024_without_header_peak(m1024_file, tmp_path, capsys):
 
 def test_construct_1024_peak(tmp_path):
     peak = traced_peak(CONSTRUCT_1024 + ["--out", str(tmp_path / "out.txt")])
-    assert peak < 6 * MB, f"construct peaked at {peak / MB:.1f} MB"
+    assert peak < 3 * MB, f"construct peaked at {peak / MB:.1f} MB"
 
 
 def test_crosscheck_search_peak(capsys):
@@ -130,3 +134,16 @@ def test_verify_does_not_import_numpy_ma(m1024_file):
                           timeout=60)
     exit_code, before, after = proc.stdout.split()[-3:]
     assert (exit_code, after) == ("0", before), proc.stdout + proc.stderr
+
+
+def test_hashlib_is_imported_only_for_a_digest(m1024_file):
+    # hashlib loads OpenSSL, which costs a fresh process about 4 MB; the commands'
+    # own output goes to devnull, and stderr gets whether hashlib was in after each
+    code = ("import sys; from circhad.cli import main; seen = ['hashlib' in sys.modules]; "
+            f"main(['verify', {m1024_file!r}]); seen.append('hashlib' in sys.modules); "
+            "main(['search', '--order', '16']); seen.append('hashlib' in sys.modules); "
+            "print(*seen, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(circhad.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.stderr.split()[-3:] == ["False"] * 3, proc.stderr
