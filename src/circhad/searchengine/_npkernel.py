@@ -1,25 +1,29 @@
 """Vectorised enumeration kernel: `_pykernel`'s scan, one tree level at a time.
 
-The frontier of a scan is held node-minor: the masks, negative counts and
-even-block counts (a node's odd blocks are the rest of the blocks it has set)
-are arrays of N entries, one per node, and the partial autocorrelations are an
+The frontier of a scan is held node-minor: the masks and negative counts are
+arrays of N entries, one per node, and the partial autocorrelations are an
 int8 array of shape (m // 2, N), whose row s-1 holds shift s. The mask is a
 node's only record of its signs: before entry k is set, bit s-1 of the mask is
 entry k-s, so the signs that entry k meets are the mask's low bits, read as
 rows in the same forward order as the partial sums. So every step of a level
 is one vector operation along the N nodes. At each level the row-sum window,
-the balance quota (which reads bit m // 2 - 1, entry k - m // 2) and the
-autocorrelation bound of `_pykernel` are applied to both children of every
-node, whose partial sums, counts and masks are computed once as (..., 2, N)
-arrays; the surviving columns are then gathered as the children. Child b of
-node i is 2i+b, so both kernels reach the same rows in the same order. Shift s
-has k+1-s terms once entry k is set, so its bound m-k-1+s can fail only for
-s <= k - m // 2, and only those shifts are tested.
+the block balance and the autocorrelation bound of `_pykernel` are applied to
+both children of every node, whose partial sums, counts and masks are computed
+once as (..., 2, N) arrays; the surviving columns are then gathered as the
+children. Child b of node i is 2i+b, so both kernels reach the same rows in the
+same order. Shift s has k+1-s terms once entry k is set, so its bound m-k-1+s
+can fail only for s <= k - m // 2, and only those shifts are tested.
+
+Balance keeps no count of its own. Block j pairs entries j and j + m // 2, and
+adds +1 to the shift-m/2 sum when it is even and -1 when it is odd, so that
+partial sum P is the even blocks less the odd ones set so far: PAF(2n) =
+2·(even - odd) for a whole row of order 4n. With t = k+1-m//2 blocks set once
+entry k is, neither kind exceeds m/4 exactly when |P| <= m/2 - t = m-k-1.
 
 Partial sums that have not started are zero. A leaf closes its wrapped shifts
 with signs read from both ends of its mask, in one pass over its shifts. So a
-node of even order m holds m/2 + 10 bytes: 8 of mask, 2 of counts and m/2 of
-partial sums.
+node of even order m holds m/2 + 9 bytes: 8 of mask, 1 of negative count and
+m/2 of partial sums.
 
 `scan_partitions` scans many partitions as one batched frontier. It does not
 walk down from the empty row: every filter is monotone along a row (a node
@@ -43,18 +47,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..signs import mask_signs
 from . import _pykernel
 
 BACKEND = "numpy"
 # The most nodes a level gathers at once, and a seed holds. Measured on 2 vCPUs
-# (BENCH_17.json) at m + 11 bytes a node (m/2 + 10 now): 16384 cut the benchmark's
+# (BENCH_17.json) at m + 11 bytes a node (m/2 + 9 now): 16384 cut the benchmark's
 # order-20 search rounds by 28-36% against 4096 and moved the serial search's peak
 # RSS by less than 0.1 MB; 32768 raised that peak by 1.1 MB more.
 FRONTIER_CAP = 16384
 
 _HASH_MULT = np.uint64(_pykernel._HASH_MULT)
 _BOTH_BITS = np.array([0, 1], dtype=np.uint8)
-_CHILD_SIGNS = np.array([[1], [-1]], dtype=np.int8)  # entry k's sign in child b
 _NO_MASKS = np.empty(0, dtype=np.uint64)
 
 
@@ -79,23 +83,6 @@ def scan_subtree(
     return tuple(result)
 
 
-def _mask_signs(masks: np.ndarray, count: int) -> np.ndarray:
-    """Row s of the (count, len(masks)) int8 result is the sign of bit s of each mask.
-
-    A set bit is -1. The shifts run on the narrowest words that hold `count`
-    bits: uint16 up to 16, uint32 up to 32, else the whole uint64 masks. The
-    signs are formed in place: one more temporary raised the benchmark's serial
-    search peak RSS.
-    """
-    word = np.uint16 if count <= 16 else np.uint32 if count <= 32 else np.uint64
-    bits = masks.astype(word, copy=False) >> np.arange(count, dtype=word)[:, None]
-    bits &= word(1)
-    signs = bits.astype(np.int8)
-    signs *= -2
-    signs += 1
-    return signs
-
-
 def scan_partitions(
     m: int,
     prefixes: list[int],
@@ -112,8 +99,6 @@ def scan_partitions(
     order, as `_pykernel.scan_partitions` does.
     """
     half = m // 2  # the shifts checked
-    track_balance = balance_on and m % 4 == 0
-    quota = m // 4
     # row_sum_window[k, v]: some admissible count is still reachable from v
     # negatives once entry k is set, with m-k-1 entries left (Python ints, so m = 64 fits)
     row_sum_window = np.array(
@@ -121,14 +106,14 @@ def scan_partitions(
         dtype=bool,
     )
 
-    def passing(k: int, sums, negs, evens) -> np.ndarray:
+    def passing(k: int, sums, negs) -> np.ndarray:
         """keep[b, i]: node [b, i] passes every filter at entry k, given its partial
-        sums (..., B, N), negative and even-block counts (B, N) once entry k is set."""
+        sums (..., B, N) and negative counts (B, N) once entry k is set."""
         keep = np.ones(negs.shape, dtype=bool)
         if row_sum_on:
             keep &= row_sum_window[k, negs]
-        if track_balance and k >= half:
-            keep &= (evens <= quota) & (k + 1 - half - evens <= quota)
+        if balance_on and m % 4 == 0 and k >= half:
+            keep &= np.abs(sums[half - 1]) <= m - k - 1  # at most m/4 blocks of each kind
         if paf_prefix_on and k > half:
             # shift s has k+1-s terms, so only shifts up to k - half can exceed m-k-1+s
             remaining = (m - k - 1 + np.arange(1, k - half + 1, dtype=np.int8))[:, None]
@@ -143,40 +128,34 @@ def scan_partitions(
         """
         low = np.arange(1 << (level - depth), dtype=np.uint64)
         masks = (np.array(chunk, dtype=np.uint64)[:, None] << np.uint64(level - depth) | low).ravel()
-        signs = _mask_signs(masks, level)  # row j is entry level-1-j
+        signs = mask_signs(masks, level)  # row j is entry level-1-j
         # partial sums and counts never exceed m <= 64 in size, so int8 holds them
         partial = np.zeros((half, len(masks)), dtype=np.int8)
         for s in range(1, min(level - 1, half) + 1):
             np.einsum("ij,ij->j", signs[s:], signs[: level - s], out=partial[s - 1])
         negs = np.count_nonzero(signs < 0, axis=0).astype(np.uint8)
-        evens = np.zeros(len(masks), dtype=np.int8)
-        if track_balance and level > half:
-            evens[:] = np.count_nonzero(signs[half:] == signs[: level - half], axis=0)
         del signs
         if not level:  # the empty row, which has no entry to test
-            return [masks, partial, negs, evens]
-        keep = passing(level - 1, partial[:, None], negs[None], evens[None])[0]
-        return [masks[keep], partial[:, keep], negs[keep], evens[keep]]
+            return [masks, partial, negs]
+        keep = passing(level - 1, partial[:, None], negs[None])[0]
+        return [masks[keep], partial[:, keep], negs[keep]]
 
     def children(nodes, k: int) -> tuple[list, np.ndarray]:
         """Both children of every node at entry k, and which of them survive pruning.
 
-        Returns (kids, keep). kids holds the children's masks, partial sums,
-        negative and even-block counts as (..., 2, N) arrays, with the child of
-        node i with bit b in column [b, i]; keep[b, i] says that child survives.
+        Returns (kids, keep). kids holds the children's masks, partial sums and
+        negative counts as (..., 2, N) arrays, with the child of node i with bit
+        b in column [b, i]; keep[b, i] says that child survives.
         """
-        masks, partial, negs, evens = nodes
+        masks, partial, negs = nodes
         shifts = min(k, half)
-        signs = _mask_signs(masks, shifts)  # row s-1 is entry k-s, which shift s pairs with entry k
+        signs = mask_signs(masks, shifts)  # row s-1 is entry k-s, which shift s pairs with entry k
         sums = np.zeros((half, 2, len(masks)), dtype=np.int8)
         np.add(partial[:shifts], signs, out=sums[:shifts, 0])
         np.subtract(partial[:shifts], signs, out=sums[:shifts, 1])
         kid_negs = negs + _BOTH_BITS[:, None]
-        kid_evens = np.stack([evens, evens])
-        if track_balance and k >= half:
-            kid_evens += signs[half - 1] == _CHILD_SIGNS  # entry k-half has the child's sign
-        keep = passing(k, sums, kid_negs, kid_evens)
-        return [(masks << np.uint64(1)) | _BOTH_BITS[:, None], sums, kid_negs, kid_evens], keep
+        keep = passing(k, sums, kid_negs)
+        return [(masks << np.uint64(1)) | _BOTH_BITS[:, None], sums, kid_negs], keep
 
     def advance(nodes, k: int) -> list:
         """The children at entry k that survive pruning.
@@ -209,14 +188,14 @@ def scan_partitions(
         Empties `nodes`, and keeps nothing of them but the recorded masks, so the
         leaves are freed before their partitions are yielded.
         """
-        # entry m-1's row-sum window and quota already admit only admissible, balanced rows
-        masks, partial, _, _ = nodes
+        # entry m-1's row-sum window and balance bound admit only admissible, balanced rows
+        masks, partial, _ = nodes
         nodes.clear()
         part = np.searchsorted(starts, masks, side="right") - 1  # sorted, as the masks are
         counts = np.bincount(part - part[0])  # the caller closes only non-empty frontiers
         reached[part[0] : part[0] + len(counts)] += counts
-        last = _mask_signs(masks, half)  # row u is entry m-1-u
-        head = _mask_signs(masks >> np.uint64(m - half), half)  # row t is entry half-1-t
+        last = mask_signs(masks, half)  # row u is entry m-1-u
+        head = mask_signs(masks >> np.uint64(m - half), half)  # row t is entry half-1-t
         for s in range(1, half + 1):
             # entries m-s.. wrap onto entries ..s-1: row u of last, entry m-1-u, pairs
             # with entry s-1-u, row half-s+u of head; each sum is at most m <= 64

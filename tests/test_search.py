@@ -11,6 +11,7 @@ import circhad.searchengine as engine
 from circhad import CapacityError, FormatError, SearchConfig, canonicalize, search
 from circhad.cli import main
 from circhad.searchengine import _npkernel, _pykernel
+from circhad.signs import mask_signs
 from sign_reference import mask_to_signs, mask_to_string, signs_to_mask
 
 KERNELS = [_pykernel, _npkernel]
@@ -197,13 +198,13 @@ def test_seed_is_chunked_when_the_prefixes_outnumber_the_cap(monkeypatch):
     monkeypatch.setattr(_npkernel, "FRONTIER_CAP", cap)
     # the kernel reads the signs of every seed chunk, frontier and set of leaves it holds
     widths = []
-    mask_signs = _npkernel._mask_signs
+    mask_signs = _npkernel.mask_signs
 
     def recording_mask_signs(masks, count):
         widths.append(len(masks))
         return mask_signs(masks, count)
 
-    monkeypatch.setattr(_npkernel, "_mask_signs", recording_mask_signs)
+    monkeypatch.setattr(_npkernel, "mask_signs", recording_mask_signs)
     for filters in ((False, adm_mask, True, True, 1 << 31), (True, adm_mask, True, True, 0),
                     (False, adm_mask, False, False, 1 << 28)):
         expected = scanned(_pykernel, m, prefixes, depth, *filters)
@@ -283,7 +284,7 @@ def test_leaf_signs_and_flatness_match_the_python_paf(m):
     widths = (min(m, 32),) if m < 32 else (16, 17, 32, 33, m)
     for shift, count in [(0, width) for width in widths] + [(m - half, half)]:
         expected = np.array([[1 - 2 * (mask >> (shift + s) & 1) for s in range(count)] for mask in masks])
-        got = _npkernel._mask_signs(np.array(masks, dtype=np.uint64) >> np.uint64(shift), count)
+        got = mask_signs(np.array(masks, dtype=np.uint64) >> np.uint64(shift), count)
         assert got.dtype == np.int8 and np.array_equal(got, expected.reshape(len(masks), count).T)
         # bit u of a leaf's mask is entry m-1-u of its row
         entries = np.array([mask_to_signs(mask, m)[::-1][shift : shift + count] for mask in masks])

@@ -17,7 +17,8 @@ def sample_masks(m):
     return [0, 1, full, full ^ 1, 1 << (m - 1)] + [x & full for x in randoms]
 
 
-@pytest.mark.parametrize("m", [1, 2, 63, 64])
+# the mask reader changes word above 16 and 32 bits
+@pytest.mark.parametrize("m", [1, 2, 16, 17, 32, 33, 63, 64])
 def test_mask_row_text_round_trips(m):
     masks = sample_masks(m)
     if m == 64:
