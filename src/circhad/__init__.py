@@ -57,8 +57,7 @@ from .matrixio import (
     emit_matrix_document,
     emit_report,
     parse_matrix_document,
-    parse_sign_matrix,
 )
-from .searchengine import KERNEL_BACKEND, SearchConfig, SearchResult, canonicalize, search
+from .searchengine import KERNEL_BACKEND, SearchConfig, SearchResult, search
 
 __version__ = "0.1.0"

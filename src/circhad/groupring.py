@@ -40,13 +40,6 @@ class GroupRingElement:
         self.coeffs = coeffs
         coeffs.setflags(write=False)
 
-    @classmethod
-    def from_signs(cls, group: Group, signs) -> "GroupRingElement":
-        """Constructor restricted to +-1 coefficients (Hadamard candidates)."""
-        if not all_signs(signs):
-            raise ValueError("coefficients must all be +1 or -1")
-        return cls(group, signs)
-
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         if not isinstance(other, GroupRingElement):
             return NotImplemented

@@ -63,22 +63,8 @@ class Group:
     def inv(self, a: int) -> int:
         return int(self.inv_table[a])
 
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul_table, self.mul_table.T))
-
-    def element_order(self, a: int) -> int:
-        x = int(a)
-        k = 1
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-            if k > self.order:
-                raise ValueError("table is not a group (element order exceeds group order)")
-        return k
-
     def element_orders(self) -> np.ndarray:
-        """Every element's order at once: entry a is `element_order(a)`.
+        """Every element's order: entry a is the least k >= 1 with a^k the identity.
 
         Raises all elements to successive powers together, so it takes one
         table lookup per element for each power up to the group's exponent.

@@ -188,10 +188,6 @@ def _json_fields(data: bytes):
     return payload.get("order"), payload.get("group"), listing, payload.get("rows", [])
 
 
-def parse_sign_matrix(text: str | bytes) -> SignMatrix:
-    return parse_matrix_document(text).matrix
-
-
 def emit_matrix_document(doc: MatrixDocument, fmt: str = "text") -> bytearray:
     """The UTF-8 bytes of `doc` in either form, which `parse_matrix_document` reads back.
 

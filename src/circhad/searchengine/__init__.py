@@ -48,7 +48,7 @@ import numpy as np
 
 from ..errors import CapacityError, FormatError
 from ..hadamard import admissible_negative_counts
-from ..signs import MASK_BITS, masks_to_rows, row_to_mask, to_text
+from ..signs import MASK_BITS, masks_to_rows, to_text
 from . import _npkernel, _pykernel
 
 
@@ -129,17 +129,6 @@ def _canonical_mask(mask: int, m: int) -> int:
             if rotated < best:
                 best = rotated
     return best
-
-
-def canonicalize(row) -> np.ndarray:
-    """Lexicographically smallest vector over all rotations and global negations.
-
-    Ordering treats +1 as smaller than -1, so the all-plus row is canonical in
-    its orbit. Idempotent by construction.
-    """
-    m = len(row)
-    canon = _canonical_mask(row_to_mask(row), m)
-    return masks_to_rows(np.array([canon], dtype=np.uint64), m)[0].astype(np.int64)
 
 
 def _admissible_mask(order: int) -> tuple[set[int], int]:

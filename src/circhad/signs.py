@@ -72,14 +72,3 @@ def mask_signs(masks: np.ndarray, count: int) -> np.ndarray:
 def masks_to_rows(masks: np.ndarray, m: int) -> np.ndarray:
     """int8 sign matrix (len(masks) x m) from uint64 row bitmasks, as a transposed view."""
     return mask_signs(masks, m)[::-1].T
-
-
-def row_to_mask(row) -> int:
-    """Bitmask of one ±1 row of at most MASK_BITS entries."""
-    if not all_signs(row):
-        raise ValueError("row entries must all be +1 or -1")
-    negative = np.asarray(row).ravel() == -1
-    if negative.size > MASK_BITS:
-        raise ValueError(f"a mask holds at most {MASK_BITS} entries, got {negative.size}")
-    # packbits fills whole bytes, most significant bit first: drop the padding
-    return int.from_bytes(np.packbits(negative).tobytes(), "big") >> (-negative.size % 8)

@@ -12,11 +12,11 @@ def mask_to_signs(mask: int, m: int) -> np.ndarray:
     return np.array([-1 if (mask >> (m - 1 - i)) & 1 else 1 for i in range(m)], dtype=np.int64)
 
 
-def signs_to_mask(row) -> tuple[int, int]:
+def row_to_mask(row) -> int:
     mask = 0
     for value in row:
         mask = (mask << 1) | (1 if value == -1 else 0)
-    return mask, len(row)
+    return mask
 
 
 def mask_to_string(mask: int, m: int) -> str:

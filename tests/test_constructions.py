@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,20 @@ from circhad import (
     trivial_construction,
     with_recovered_listing,
 )
-from circhad.constructions import _C2C8_SHA256, _C2C8_TEXT, _parse_display
+from circhad.constructions import _C2C8_TEXT, _Q8C2_TEXT
+from circhad.signs import to_text
 
 ALL_FAMILIES = [circulant_c4, c2c2_matrix, c2c8_matrix, quaternion_c2_matrix]
+
+# sha256 of each 16x16 transcription's rows without spaces, joined by newlines
+DISPLAY_SHA256 = {
+    "c2c8": "a6d1fa90bbd6d27f24dcffdd65887ccd5cc3f5543b47253582fc9d795603ebfe",
+    "q8c2": "5109ab6c1c6b6066564ea6b2e54a2a8546e1feae31487c5e84b33f5261c953b2",
+}
+
+
+def display_sha256(text):
+    return hashlib.sha256(text.replace(" ", "").encode()).hexdigest()
 
 
 @pytest.mark.parametrize("factory", ALL_FAMILIES)
@@ -70,8 +83,13 @@ def test_quaternion_c2_recovered_listing_is_sound():
 
 
 def test_display_checksum_guard():
-    with pytest.raises(RuntimeError):
-        _parse_display(_C2C8_TEXT.replace("+", "-", 1), _C2C8_SHA256)
+    for name, text, factory in (("c2c8", _C2C8_TEXT, c2c8_matrix),
+                                ("q8c2", _Q8C2_TEXT, quaternion_c2_matrix)):
+        assert display_sha256(text) == DISPLAY_SHA256[name]
+        # the matrix built is the literal, sign for sign
+        assert "\n".join(to_text(factory().matrix.entries)) == text.replace(" ", "")
+        # one flipped sign changes the digest
+        assert display_sha256(text.replace("+", "-", 1)) != DISPLAY_SHA256[name]
 
 
 def test_kronecker_c4_by_c4():

@@ -28,7 +28,6 @@ from circhad import (
 from circhad.blocks import block_system, row_from_blocks
 from circhad.groupring import placement_order
 from circhad.constructions import FAMILIES, c2c8_matrix, kronecker_extend, quaternion_c2_matrix
-from circhad.signs import row_to_mask as signs_to_mask
 
 EQ1 = np.array([[1, 1, 1, -1], [-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
 BLOCKED = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [-1, 1, 1, 1], [1, -1, 1, 1]])
@@ -59,9 +58,7 @@ def test_listing_group_mismatch_rejected():
 
 def test_sign_restricted_constructor():
     g = cyclic_group(3)
-    with pytest.raises(ValueError):
-        GroupRingElement.from_signs(g, [1, 0, -1])
-    elem = GroupRingElement.from_signs(g, [1, -1, -1])
+    elem = GroupRingElement(g, [1, -1, -1])
     assert elem.coeffs.tolist() == [1, -1, -1]
 
 
@@ -89,7 +86,7 @@ def test_relist_natural_to_paired_gives_blocked_display():
 def test_relist_identity_and_involution():
     rng = np.random.default_rng(7)
     g = cyclic_group(6)
-    w = GroupRingElement.from_signs(g, rng.choice([1, -1], 6))
+    w = GroupRingElement(g, rng.choice([1, -1], 6))
     nat = natural_listing(g)
     m = rg_sign_matrix(w, nat)
     assert np.array_equal(relist(m, nat, nat).entries, m.entries)
@@ -102,7 +99,7 @@ def test_relist_identity_and_involution():
 def test_relist_agrees_with_rg_matrix_for_random_listings():
     rng = np.random.default_rng(11)
     g = direct_product(cyclic_group(2), cyclic_group(4))
-    w = GroupRingElement.from_signs(g, rng.choice([1, -1], g.order))
+    w = GroupRingElement(g, rng.choice([1, -1], g.order))
     nat = natural_listing(g)
     m = rg_sign_matrix(w, nat)
     for _ in range(25):
@@ -147,7 +144,7 @@ def test_is_rg_matrix_true_by_construction():
     for factory in (lambda: cyclic_group(6), lambda: quaternion_group()):
         g = factory()
         for _ in range(10):
-            w = GroupRingElement.from_signs(g, rng.choice([1, -1], g.order))
+            w = GroupRingElement(g, rng.choice([1, -1], g.order))
             listing = Listing(g, rng.permutation(g.order))
             assert is_rg_matrix(rg_sign_matrix(w, listing), g, listing)
 
@@ -197,7 +194,7 @@ def random_rg_matrices():
     ):
         g = factory()
         for _ in range(5):
-            w = GroupRingElement.from_signs(g, rng.choice([1, -1], g.order))
+            w = GroupRingElement(g, rng.choice([1, -1], g.order))
             hidden = Listing(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)]))
             yield rg_sign_matrix(w, hidden), g
 
@@ -368,7 +365,7 @@ def broken_rg_matrices(name, rng):
     g = group_by_name(name)
     bases = []
     for _ in range(3):
-        w = GroupRingElement.from_signs(g, rng.choice([1, -1], g.order))
+        w = GroupRingElement(g, rng.choice([1, -1], g.order))
         hidden = Listing(g, np.concatenate([[0], 1 + rng.permutation(g.order - 1)]))
         bases.append(rg_sign_matrix(w, hidden).entries)
     construction = {"C2xC8": c2c8_matrix, "Q8xC2": quaternion_c2_matrix}.get(name)
@@ -454,9 +451,6 @@ def _entry_points():
         "as_sign_array": (lambda v: groupring.as_sign_array(square(v)), "matrix entries must all be +1 or -1"),
         "paf": (paf, "row entries must all be +1 or -1"),
         "circulant_from_row": (circulant_from_row, "first row entries must all be +1 or -1"),
-        "from_signs": (lambda v: GroupRingElement.from_signs(cyclic_group(4), v),
-                       "coefficients must all be +1 or -1"),
-        "signs_to_mask": (signs_to_mask, "row entries must all be +1 or -1"),
         "block_system": (block_system, "row entries must all be +1 or -1"),
         "row_from_blocks": (lambda v: row_from_blocks(["even", "odd", "odd", "even"], v),
                             "block signs must all be +1 or -1"),

@@ -80,15 +80,23 @@ def test_c2_c8_product_element_orders():
     assert k == 8
 
 
+def element_order(g, a):
+    # one element's order, by multiplying a into its powers until the identity comes back
+    x, k = a, 1
+    while x != 0:
+        x = g.mul_table[x, a]
+        k += 1
+    return k
+
+
 def test_element_orders_match_element_order():
     for name in ("C1", "C12", "C2xC8", "Q8xC2", "C2xC2xC2xC2", "Q8xC4xC2"):
         g = group_by_name(name)
-        assert g.element_orders().tolist() == [g.element_order(a) for a in range(g.order)]
+        assert g.element_orders().tolist() == [element_order(g, a) for a in range(g.order)]
     # a Latin square in which the powers of 1 cycle through 1, 2 and never reach 0
     bad = Group("bad", [[0, 1, 2], [1, 2, 1], [2, 1, 2]], inv_table=[0, 0, 0])
-    for orders in (bad.element_orders, lambda: bad.element_order(1)):
-        with pytest.raises(ValueError, match="not a group"):
-            orders()
+    with pytest.raises(ValueError, match="not a group"):
+        bad.element_orders()
 
 
 def test_quaternion_defining_relations():
@@ -116,12 +124,11 @@ def test_quaternion_product_noncommutative():
         g.mul(a, b) != g.mul(b, a) for a in range(g.order) for b in range(g.order)
     )
     assert asymmetric
-    assert not g.is_abelian
+    assert not np.array_equal(g.mul_table, g.mul_table.T)
 
 
 def test_abelian_products_have_symmetric_tables():
     g = direct_product(cyclic_group(3), cyclic_group(5))
-    assert g.is_abelian
     assert np.array_equal(g.mul_table, g.mul_table.T)
 
 

@@ -17,7 +17,6 @@ from circhad import (
     is_hadamard,
     matching_report,
     parse_matrix_document,
-    parse_sign_matrix,
     search,
 )
 from circhad import groups
@@ -29,23 +28,23 @@ EQ1_TEXT = "+++-\n-+++\n+-++\n++-+\n"
 
 
 def test_parse_simple_matrix():
-    m = parse_sign_matrix("++\n+-")
+    m = parse_matrix_document("++\n+-").matrix
     assert m.entries.tolist() == [[1, 1], [1, -1]]
 
 
 def test_parse_eq1_passes_hadamard():
-    assert is_hadamard(parse_sign_matrix(EQ1_TEXT)).is_hadamard
+    assert is_hadamard(parse_matrix_document(EQ1_TEXT).matrix).is_hadamard
 
 
 def test_parse_ragged_row_reports_line():
     with pytest.raises(FormatError) as err:
-        parse_sign_matrix("++\n+")
+        parse_matrix_document("++\n+")
     assert err.value.line == 2
 
 
 def test_parse_illegal_character_reports_line():
     with pytest.raises(FormatError) as err:
-        parse_sign_matrix("++\n+x")
+        parse_matrix_document("++\n+x")
     assert err.value.line == 2
 
 
@@ -66,7 +65,7 @@ def test_parse_rejects_order_mismatch():
 
 def test_parse_rejects_non_square():
     with pytest.raises(FormatError):
-        parse_sign_matrix("++\n--\n+-\n")
+        parse_matrix_document("++\n--\n+-\n")
 
 
 def test_parse_rejects_unknown_header():
@@ -76,7 +75,7 @@ def test_parse_rejects_unknown_header():
 
 def test_parse_rejects_empty_input():
     with pytest.raises(FormatError):
-        parse_sign_matrix("# nothing here\n")
+        parse_matrix_document("# nothing here\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -143,7 +142,7 @@ def test_document_header_roundtrip():
 
 
 def test_gram_report_text_contains_expected_lines():
-    text = emit_report(is_hadamard(parse_sign_matrix(EQ1_TEXT)))
+    text = emit_report(is_hadamard(parse_matrix_document(EQ1_TEXT).matrix))
     assert "hadamard: true" in text
     assert "order: 4" in text
 
@@ -167,7 +166,7 @@ def test_match_report_serialization():
 
 
 def test_json_reports_are_stable_and_sorted():
-    report = is_hadamard(parse_sign_matrix(EQ1_TEXT))
+    report = is_hadamard(parse_matrix_document(EQ1_TEXT).matrix)
     first = emit_report(report, "json")
     second = emit_report(report, "json")
     assert first == second
@@ -183,7 +182,7 @@ def test_search_json_report_fields():
 
 
 def test_emit_rejects_unknown_format_and_type():
-    report = is_hadamard(parse_sign_matrix(EQ1_TEXT))
+    report = is_hadamard(parse_matrix_document(EQ1_TEXT).matrix)
     with pytest.raises(ValueError):
         emit_report(report, "yaml")
     with pytest.raises(TypeError):

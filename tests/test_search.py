@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import circhad.searchengine as engine
-from circhad import CapacityError, FormatError, SearchConfig, canonicalize, search
+from circhad import CapacityError, FormatError, SearchConfig, search
 from circhad.cli import main
-from circhad.searchengine import _npkernel, _pykernel
-from circhad.signs import mask_signs
-from sign_reference import mask_to_signs, mask_to_string, signs_to_mask
+from circhad.searchengine import _canonical_mask, _npkernel, _pykernel
+from circhad.signs import mask_signs, masks_to_rows
+from sign_reference import mask_to_signs, mask_to_string, row_to_mask
 
 KERNELS = [_pykernel, _npkernel]
 
@@ -505,6 +505,12 @@ def test_order_one_and_two(kernel):
     assert two.found == []
 
 
+def canonicalize(row):
+    """The least row over all rotations and negations, as the search reports it."""
+    m = len(row)
+    return masks_to_rows(np.array([_canonical_mask(row_to_mask(row), m)], dtype=np.uint64), m)[0]
+
+
 def test_canonicalize_orbit_of_eq1_row():
     base = np.array([1, 1, 1, -1])
     expected = canonicalize(base)
@@ -513,7 +519,7 @@ def test_canonicalize_orbit_of_eq1_row():
         rotated = np.roll(base, k)
         orbit.append(rotated)
         orbit.append(-rotated)
-    assert len({signs_to_mask(r)[0] for r in orbit}) == 8
+    assert len({row_to_mask(r) for r in orbit}) == 8
     for member in orbit:
         assert np.array_equal(canonicalize(member), expected)
     assert np.array_equal(expected, base)
