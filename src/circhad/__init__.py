@@ -18,7 +18,6 @@ from .constructions import (
     circulant_c4,
     kronecker_extend,
     quaternion_c2_matrix,
-    trivial_construction,
     with_recovered_listing,
 )
 from .errors import CapacityError, FormatError

@@ -116,6 +116,36 @@ class ConditionsReport:
     def all_ok(self) -> bool:
         return self.balance_ok and all(self.parity_ok.values())
 
+    def payload(self) -> dict:
+        return {
+            "report": "conditions",
+            "block_count": self.block_count,
+            "even_count": self.even_count,
+            "odd_count": self.odd_count,
+            "balance_ok": self.balance_ok,
+            "differences": {k: {str(d): c for d, c in v.items()} for k, v in self.differences.items()},
+            "parity_ok": self.parity_ok,
+            "symmetric_partner": self.symmetric_partner,
+            "all_symmetric": self.all_symmetric,
+        }
+
+    def lines(self) -> list[str]:
+        lines = [
+            f"even: {self.even_count}, odd: {self.odd_count}, balanced: {str(self.balance_ok).lower()}"
+        ]
+        for kind in ("even", "odd"):
+            diffs = self.differences.get(kind, {})
+            shown = ", ".join(f"{d}x{c}" for d, c in diffs.items()) or "none"
+            lines.append(f"{kind} differences (value x count): {shown}")
+            lines.append(f"{kind} difference parity ok: {str(self.parity_ok.get(kind, True)).lower()}")
+            lines.append(f"{kind} all symmetric: {str(self.all_symmetric.get(kind, True)).lower()}")
+        partners = ", ".join(
+            f"{i}->{p}" if p is not None else f"{i}->none"
+            for i, p in enumerate(self.symmetric_partner)
+        )
+        lines.append(f"symmetric partners: {partners}")
+        return lines
+
 
 def conditions_report(system: BlockSystem) -> ConditionsReport:
     """Balance, difference-parity and symmetry conditions of a block system."""
@@ -149,6 +179,29 @@ class MatchReport:
     perfect_matching_found: bool
     matching: list[tuple[Pair, Pair]]
     failure_certificate: Pair | None = None
+
+    def payload(self) -> dict:
+        return {
+            "report": "matching",
+            "kind": self.kind,
+            "perfect_matching_found": self.perfect_matching_found,
+            "matching": [[list(p), list(q)] for p, q in self.matching],
+            "failure_certificate": list(self.failure_certificate)
+            if self.failure_certificate
+            else None,
+        }
+
+    def lines(self) -> list[str]:
+        lines = [
+            f"kind: {self.kind}",
+            f"perfect matching: {str(self.perfect_matching_found).lower()}",
+        ]
+        if self.perfect_matching_found:
+            for p, q in self.matching:
+                lines.append(f"  {p} ~ {q}")
+        else:
+            lines.append(f"unmatched pair: {self.failure_certificate}")
+        return lines
 
 
 def matching_report(system: BlockSystem, kind: str) -> MatchReport:

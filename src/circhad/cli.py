@@ -25,14 +25,7 @@ from .errors import CapacityError, FormatError
 from .groups import Group, Listing, group_by_name, is_cyclic_table, natural_listing, paired_listing
 from .groupring import is_rg_matrix, recover_listing
 from .hadamard import is_hadamard
-from .matrixio import (
-    MatrixDocument,
-    emit_matrix_document,
-    emit_report,
-    parse_matrix_document,
-    report_payload,
-    report_text,
-)
+from .matrixio import MatrixDocument, emit_matrix_document, emit_report, parse_matrix_document
 from .searchengine import SearchConfig, search
 from .signs import from_text
 
@@ -106,7 +99,7 @@ def _cmd_verify(args) -> int:
                         "listing": list(found.perm),
                     }
 
-    payload, lines = report_payload(report), report_text(report)
+    payload, lines = report.payload(), report.lines()
     if rg_info is not None:
         payload["rg"] = rg_info
         verdict = f"true (listing: {rg_info['listing']})" if rg_info["rg_matrix"] else "false"
@@ -143,12 +136,12 @@ def _cmd_analyze(args) -> int:
     matches = {kind: matching_report(system, kind) for kind in ("even", "odd")}
     payload = {
         "report": "analyze",
-        "conditions": report_payload(conditions),
-        "matching": {kind: report_payload(rep) for kind, rep in matches.items()},
+        "conditions": conditions.payload(),
+        "matching": {kind: rep.payload() for kind, rep in matches.items()},
     }
-    lines = report_text(conditions)
+    lines = conditions.lines()
     for rep in matches.values():
-        lines += ["", *report_text(rep)]
+        lines += ["", *rep.lines()]
     _emit(args.format, payload, lines)
     ok = conditions.all_ok and all(rep.perfect_matching_found for rep in matches.values())
     return 0 if ok else 1
@@ -226,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("construct", help="emit a named Hadamard construction")
-    p.add_argument("--family", choices=["c4", "c2c2", "c2c8", "q8c2"], required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--extend", choices=["c4", "c2c2"], default="c4",
                    help="Kronecker extension factor (used when --times > 0)")
     p.add_argument("--times", type=int, default=0, help="number of Kronecker extensions")

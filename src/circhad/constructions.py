@@ -123,23 +123,11 @@ def quaternion_c2_matrix() -> NamedConstruction:
     )
 
 
-def trivial_construction() -> NamedConstruction:
-    """Order-1 Hadamard matrix (1) over the trivial group."""
-    group = cyclic_group(1)
-    return NamedConstruction(
-        name="trivial",
-        group=group,
-        matrix=SignMatrix(np.array([[1]], dtype=np.int8)),
-        listing=natural_listing(group),
-    )
-
-
 FAMILIES = {
     "c4": circulant_c4,
     "c2c2": c2c2_matrix,
     "c2c8": c2c8_matrix,
     "q8c2": quaternion_c2_matrix,
-    "trivial": trivial_construction,
 }
 
 

@@ -169,7 +169,7 @@ def relist(m: SignMatrix, from_listing: Listing, to_listing: Listing) -> SignMat
         raise ValueError("listings belong to different groups")
     if len(from_listing.perm) != m.size:
         raise ValueError(f"matrix size {m.size} does not match listing length {len(from_listing.perm)}")
-    sigma = np.array([from_listing.position_of(e) for e in to_listing.perm])
+    sigma = np.argsort(from_listing.perm)[np.asarray(to_listing.perm)]
     return SignMatrix(m.entries[np.ix_(sigma, sigma)])
 
 

@@ -57,12 +57,6 @@ class Group:
         """The int16 table of inverses: entry a is the index of a^-1."""
         return self._tables[1]
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inv_table[a])
-
     def element_orders(self) -> np.ndarray:
         """Every element's order: entry a is the least k >= 1 with a^k the identity.
 
@@ -214,14 +208,6 @@ class Listing:
             raise ValueError(f"perm is not a permutation of 0..{group.order - 1}")
         self.group = group
         self.perm = perm
-
-    def position_of(self, element: int) -> int:
-        if not hasattr(self, "_pos"):
-            pos = [0] * self.group.order
-            for p, e in enumerate(self.perm):
-                pos[e] = p
-            self._pos = tuple(pos)
-        return self._pos[element]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Listing):

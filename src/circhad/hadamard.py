@@ -46,6 +46,29 @@ class GramReport:
     col_sums: list[int] = field(repr=False)
     negatives_per_row: list[int] = field(repr=False)
 
+    def payload(self) -> dict:
+        return {
+            "report": "gram",
+            "order": self.size,
+            "hadamard": self.is_hadamard,
+            "diagonal_values": sorted(self.diagonal_values),
+            "max_off_diagonal": self.max_off_diagonal,
+            "row_sums": self.row_sums,
+            "col_sums": self.col_sums,
+            "negatives_per_row": self.negatives_per_row,
+        }
+
+    def lines(self) -> list[str]:
+        return [
+            f"order: {self.size}",
+            f"hadamard: {str(self.is_hadamard).lower()}",
+            f"diagonal values: {sorted(self.diagonal_values)}",
+            f"max off-diagonal: {self.max_off_diagonal}",
+            f"row sums: {self.row_sums}",
+            f"col sums: {self.col_sums}",
+            f"negatives per row: {self.negatives_per_row}",
+        ]
+
 
 def is_hadamard(m) -> GramReport:
     """Full gram report; the flag is true iff M M^T equals size * identity."""

@@ -1,4 +1,4 @@
-"""Matrix document parsing/serialization and report emission.
+"""Matrix document parsing/serialization, and `emit_report`.
 
 The text matrix format is one row per line using '+' and '-', whitespace
 ignored, '#' comment lines allowed, and optional "key: value" header lines
@@ -12,6 +12,9 @@ picked out of that compact copy by one boolean mask and converted in place.
 Only the lines before the first row (headers and comments) are read one at a
 time. A row is written the same way, as character codes in the one buffer of
 bytes that the document is written from.
+
+Each report type renders itself through its `payload()` (JSON-ready dict)
+and `lines()` (text lines); `emit_report` only picks one and serializes it.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ConditionsReport, MatchReport
 from .errors import FormatError
 from .groupring import SignMatrix
-from .hadamard import GramReport
-from .searchengine import SearchResult
 from .signs import from_codes, to_codes, to_text
 
 _HEADER_KEYS = ("order", "group", "listing")
@@ -217,151 +217,12 @@ def emit_matrix_document(doc: MatrixDocument, fmt: str = "text") -> bytearray:
     return data
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _gram_payload(report: GramReport) -> dict:
-    return {
-        "report": "gram",
-        "order": report.size,
-        "hadamard": report.is_hadamard,
-        "diagonal_values": sorted(report.diagonal_values),
-        "max_off_diagonal": report.max_off_diagonal,
-        "row_sums": report.row_sums,
-        "col_sums": report.col_sums,
-        "negatives_per_row": report.negatives_per_row,
-    }
-
-
-def _gram_text(report: GramReport) -> list[str]:
-    return [
-        f"order: {report.size}",
-        f"hadamard: {_bool(report.is_hadamard)}",
-        f"diagonal values: {sorted(report.diagonal_values)}",
-        f"max off-diagonal: {report.max_off_diagonal}",
-        f"row sums: {report.row_sums}",
-        f"col sums: {report.col_sums}",
-        f"negatives per row: {report.negatives_per_row}",
-    ]
-
-
-def _conditions_payload(report: ConditionsReport) -> dict:
-    return {
-        "report": "conditions",
-        "block_count": report.block_count,
-        "even_count": report.even_count,
-        "odd_count": report.odd_count,
-        "balance_ok": report.balance_ok,
-        "differences": {k: {str(d): c for d, c in v.items()} for k, v in report.differences.items()},
-        "parity_ok": report.parity_ok,
-        "symmetric_partner": report.symmetric_partner,
-        "all_symmetric": report.all_symmetric,
-    }
-
-
-def _conditions_text(report: ConditionsReport) -> list[str]:
-    lines = [
-        f"even: {report.even_count}, odd: {report.odd_count}, balanced: {_bool(report.balance_ok)}"
-    ]
-    for kind in ("even", "odd"):
-        diffs = report.differences.get(kind, {})
-        shown = ", ".join(f"{d}x{c}" for d, c in diffs.items()) or "none"
-        lines.append(f"{kind} differences (value x count): {shown}")
-        lines.append(f"{kind} difference parity ok: {_bool(report.parity_ok.get(kind, True))}")
-        lines.append(f"{kind} all symmetric: {_bool(report.all_symmetric.get(kind, True))}")
-    partners = ", ".join(
-        f"{i}->{p}" if p is not None else f"{i}->none"
-        for i, p in enumerate(report.symmetric_partner)
-    )
-    lines.append(f"symmetric partners: {partners}")
-    return lines
-
-
-def _match_payload(report: MatchReport) -> dict:
-    return {
-        "report": "matching",
-        "kind": report.kind,
-        "perfect_matching_found": report.perfect_matching_found,
-        "matching": [[list(p), list(q)] for p, q in report.matching],
-        "failure_certificate": list(report.failure_certificate)
-        if report.failure_certificate
-        else None,
-    }
-
-
-def _match_text(report: MatchReport) -> list[str]:
-    lines = [
-        f"kind: {report.kind}",
-        f"perfect matching: {_bool(report.perfect_matching_found)}",
-    ]
-    if report.perfect_matching_found:
-        for p, q in report.matching:
-            lines.append(f"  {p} ~ {q}")
-    else:
-        lines.append(f"unmatched pair: {report.failure_certificate}")
-    return lines
-
-
-def _search_payload(result: SearchResult) -> dict:
-    payload = result.deterministic_payload()
-    payload["report"] = "search"
-    payload["timings"] = {k: round(v, 6) for k, v in result.timings.items()}
-    payload["meta"] = dict(result.meta)
-    return payload
-
-
-def _search_text(result: SearchResult) -> list[str]:
-    lines = [
-        f"order: {result.order}",
-        f"total rows: {result.total_rows}",
-    ]
-    for stage, count in result.stage_counts.items():
-        lines.append(f"stage {stage}: {count}")
-    lines.append(f"found: {result.found_raw_count}")
-    if result.canonicalization == "rotation+negation":
-        lines.append(f"classes under rotation+negation: {len(result.found)}")
-    for row in result.found:
-        lines.append(f"  {row}")
-    lines.append(
-        f"crosscheck: {result.crosscheck['checked']} rows, "
-        f"{result.crosscheck['mismatches']} mismatches"
-    )
-    for phase, seconds in result.timings.items():
-        lines.append(f"time {phase}: {seconds:.3f}s")
-    lines.append(f"backend: {result.meta.get('backend')}")
-    return lines
-
-
-_DISPATCH = {
-    GramReport: (_gram_payload, _gram_text),
-    ConditionsReport: (_conditions_payload, _conditions_text),
-    MatchReport: (_match_payload, _match_text),
-    SearchResult: (_search_payload, _search_text),
-}
-
-
-def _emitters(report):
-    try:
-        return _DISPATCH[type(report)]
-    except KeyError:
-        raise TypeError(f"cannot emit report of type {type(report).__name__}") from None
-
-
-def report_payload(report) -> dict:
-    """JSON-ready dict for a report object."""
-    return _emitters(report)[0](report)
-
-
-def report_text(report) -> list[str]:
-    """Human-readable lines for a report object."""
-    return _emitters(report)[1](report)
-
-
 def emit_report(report, fmt: str = "text") -> str:
-    """Serialize any report type deterministically; JSON keys are sorted."""
+    """A report's `payload()` as sorted, indented JSON, or its `lines()` as text."""
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    if not (hasattr(report, "payload") and hasattr(report, "lines")):
+        raise TypeError(f"cannot emit report of type {type(report).__name__}")
     if fmt == "json":
-        return json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
-    return "\n".join(report_text(report)) + "\n"
+        return json.dumps(report.payload(), sort_keys=True, indent=2) + "\n"
+    return "\n".join(report.lines()) + "\n"

@@ -119,6 +119,34 @@ class SearchResult:
             "crosscheck": dict(self.crosscheck),
         }
 
+    def payload(self) -> dict:
+        payload = self.deterministic_payload()
+        payload["report"] = "search"
+        payload["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
+        payload["meta"] = dict(self.meta)
+        return payload
+
+    def lines(self) -> list[str]:
+        lines = [
+            f"order: {self.order}",
+            f"total rows: {self.total_rows}",
+        ]
+        for stage, count in self.stage_counts.items():
+            lines.append(f"stage {stage}: {count}")
+        lines.append(f"found: {self.found_raw_count}")
+        if self.canonicalization == "rotation+negation":
+            lines.append(f"classes under rotation+negation: {len(self.found)}")
+        for row in self.found:
+            lines.append(f"  {row}")
+        lines.append(
+            f"crosscheck: {self.crosscheck['checked']} rows, "
+            f"{self.crosscheck['mismatches']} mismatches"
+        )
+        for phase, seconds in self.timings.items():
+            lines.append(f"time {phase}: {seconds:.3f}s")
+        lines.append(f"backend: {self.meta.get('backend')}")
+        return lines
+
 
 def _canonical_mask(mask: int, m: int) -> int:
     full = (1 << m) - 1

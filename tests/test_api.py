@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "kronecker_extend", "matching_report", "natural_listing", "paf", "paf_is_flat",
     "paired_listing", "parse_matrix_document", "quaternion_c2_matrix", "quaternion_group",
     "recover_listing", "relist", "rg_matrix", "rg_sign_matrix", "row_from_blocks", "search",
-    "trivial_construction", "with_recovered_listing",
+    "with_recovered_listing",
 ]
 
 

@@ -437,12 +437,12 @@ def test_rows_whose_block_kinds_match(m, even, odd, both):
     assert sum(e and o for e, o in verdicts) == both
 
 
-def analyze_digest(rows, layout):
-    """sha256 over each row's `analyze --format json` stdout followed by its exit code."""
+def analyze_digest(rows, layout, fmt="json"):
+    """sha256 over each row's `analyze --format fmt` stdout followed by its exit code."""
     digest = hashlib.sha256()
     for row in rows:
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = main(["analyze", f"--row={row}", "--layout", layout, "--format", "json"])
+            code = main(["analyze", f"--row={row}", "--layout", layout, "--format", fmt])
         digest.update(f"{out.getvalue()}exit {code}\n".encode())
     return digest.hexdigest()
 
@@ -486,21 +486,33 @@ ORDER8_ROWS = [sign_string(mask_to_signs(mask, 8)) for mask in range(1 << 8)]
 ORDER12_ROWS = [sign_string(mask_to_signs(mask, 12)) for mask in range(1 << 12)]
 
 
-@pytest.mark.parametrize("rows, layout, digest", [
-    (ORDER8_ROWS, "natural",
+@pytest.mark.parametrize("rows, layout, fmt, digest", [
+    (ORDER8_ROWS, "natural", "json",
      "c7af61a154a73cb07d52de444ed3fff7b81fde34788cba737db617874ac95d28"),
-    (ORDER8_ROWS, "paired",
+    (ORDER8_ROWS, "paired", "json",
      "fc03b346cd3ee90830ed0fb42efbc3f27e78e8db2c89e2af7db897830d195ed2"),
-    (seeded_block_rows(), "paired",
+    (seeded_block_rows(), "paired", "json",
      "427d65b0a61398196e6addda0e97dc76582416ec4714447a3c93af0e16c2c3dc"),
-    (MATCHED_ROWS, "natural",
+    (MATCHED_ROWS, "natural", "json",
      "de648694dc54d9f83b8c34946a1084682941e622fe3383934cf8758b5020bac2"),
     # the first exhaustive pin with n odd; the paired layout covers the same systems
-    (ORDER12_ROWS, "natural",
+    (ORDER12_ROWS, "natural", "json",
      "4f38fe9066fabc42fc2bf7cccf1c68415572b90a212c0f0332990ef45ce1265c"),
-], ids=["order8-natural", "order8-paired", "order32-seeded", "matched", "order12-natural"])
-def test_analyze_output_is_pinned(rows, layout, digest):
-    assert analyze_digest(rows, layout) == digest
+    (ORDER8_ROWS, "natural", "text",
+     "48e2476a28ed550aeb2b4b403451d7f1cc62a654818614ea18e6d9377a56bfe0"),
+    (ORDER8_ROWS, "paired", "text",
+     "5bfd5f6acb6f5fb567de1c03eb2d05e743678fc9ba56ab3177ffdde51e588c93"),
+    (seeded_block_rows(), "paired", "text",
+     "9252660dba6e198ff1837b52aa7ecaa0df51a0ccad25f99d94f1da995c4c0a86"),
+    (MATCHED_ROWS, "natural", "text",
+     "9c8076b85f55698c0613485a89ffe994d2aecbe5044119f12fa6b2c3e15e6cf2"),
+    (ORDER12_ROWS, "natural", "text",
+     "d66c7e9e2fe588cd7a70eeaaef17f5db4790a37377a896ffd0198991e99963a0"),
+], ids=["order8-natural", "order8-paired", "order32-seeded", "matched", "order12-natural",
+        "order8-natural-text", "order8-paired-text", "order32-seeded-text", "matched-text",
+        "order12-natural-text"])
+def test_analyze_output_is_pinned(rows, layout, fmt, digest):
+    assert analyze_digest(rows, layout, fmt) == digest
 
 
 def quadruple_row(i, j, bits):

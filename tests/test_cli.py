@@ -467,6 +467,35 @@ def test_bad_header_listing_falls_back_to_recovery(tmp_path, capsys):
     assert payload["rg"] == {"group": "C4", "rg_matrix": True, "listing": [0, 1, 3, 2]}
 
 
+# sha256 over the stdout and exit code of verify and recover, each as text and as JSON
+@pytest.mark.parametrize("construct, text, group, codes, digest", [
+    (["--family", "q8c2"], None, "Q8xC2", [0, 0, 0, 0],
+     "6847774cbaf0dd48be0576cec1f8efdb589dceb3a1e29696674dfdb8dc7803f4"),
+    (["--family", "c2c8"], None, "C16", [1, 1, 1, 1],
+     "0c5d1adc6afb80fcd62fa7dc54efad5c6e13de056ab8e56edfe89dff91626fa7"),
+    (None, "++++\n-+++\n+-++\n++-+\n", "C4", [1, 1, 1, 1],
+     "1b2cbb81c674ec77ef09609b3a6f42427241a5e11f11e7e7a69d23bc4178922d"),
+    # eq1 relabelled, so verify reads its group from the header and recovers the listing
+    (None, '{"format": "matrix", "group": "C4", "listing": [0, 0, 1, 2],\n'
+           ' "rows": ["++-+", "-+++", "+++-", "+-++"]}\n', None, [0, 0, 0, 0],
+     "3f998bdf4b9b078dc6819bdade7fb9d5c117fc758d3f79c38ac94a853ff41380"),
+], ids=["q8c2", "c2c8-over-c16", "not-hadamard", "json-document"])
+def test_verify_and_recover_output_is_pinned(tmp_path, capsys, construct, text, group, codes, digest):
+    path = tmp_path / "matrix"
+    if construct:
+        assert main(["construct", *construct, "--out", str(path)]) == 0
+    else:
+        path.write_text(text)
+    verify = ["verify", str(path)] + (["--group", group] if group else [])
+    recover = ["recover", "--file", str(path), "--group", group or "C4"]
+    hashed, got = hashlib.sha256(), []
+    for argv, fmt in itertools.product((verify, recover), ("text", "json")):
+        got.append(main(argv + ["--format", fmt]))
+        hashed.update(f"{capsys.readouterr().out}exit {got[-1]}\n".encode())
+    assert got == codes
+    assert hashed.hexdigest() == digest
+
+
 NO_MASKS = np.empty(0, dtype=np.uint64)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from circhad import (
+    NamedConstruction,
+    SignMatrix,
     admissible_negative_counts,
     c2c2_matrix,
     c2c8_matrix,
@@ -13,9 +15,9 @@ from circhad import (
     is_regular,
     is_rg_matrix,
     kronecker_extend,
+    natural_listing,
     quaternion_c2_matrix,
     recover_listing,
-    trivial_construction,
     with_recovered_listing,
 )
 from circhad.constructions import _C2C8_TEXT, _Q8C2_TEXT
@@ -102,9 +104,12 @@ def test_kronecker_c4_by_c4():
 
 def test_kronecker_with_trivial_is_identity():
     c4 = circulant_c4()
-    ext = kronecker_extend(c4, trivial_construction())
+    group = cyclic_group(1)
+    trivial = NamedConstruction("trivial", group, SignMatrix(np.ones((1, 1), dtype=np.int8)),
+                                natural_listing(group))
+    ext = kronecker_extend(c4, trivial)
     assert np.array_equal(ext.matrix.entries, c4.matrix.entries)
-    ext = kronecker_extend(trivial_construction(), c4)
+    ext = kronecker_extend(trivial, c4)
     assert np.array_equal(ext.matrix.entries, c4.matrix.entries)
 
 
@@ -131,9 +136,3 @@ def test_c4_factor_replaceable_by_c2c2():
     assert via_c4.size == via_klein.size == 64
     assert is_hadamard(via_klein.matrix).is_hadamard
     assert is_rg_matrix(via_klein.matrix, via_klein.group, via_klein.listing)
-
-
-def test_trivial_construction():
-    t = trivial_construction()
-    assert t.size == 1
-    assert is_hadamard(t.matrix).is_hadamard

@@ -5,12 +5,14 @@ from circhad import (
     CapacityError,
     Group,
     Listing,
+    SignMatrix,
     cyclic_group,
     direct_product,
     group_by_name,
     natural_listing,
     paired_listing,
     quaternion_group,
+    relist,
 )
 from circhad import groups
 from circhad.groups import is_cyclic_table
@@ -24,16 +26,16 @@ def test_trivial_group():
 
 def test_cyclic_four_inverse():
     g = cyclic_group(4)
-    assert g.mul(1, 3) == 0
-    assert g.inv(1) == 3
+    assert int(g.mul_table[1, 3]) == 0
+    assert int(g.inv_table[1]) == 3
 
 
 def test_cyclic_eight_matches_modular_addition():
     g = cyclic_group(8)
     for a in range(8):
         for b in range(8):
-            assert g.mul(a, b) == (a + b) % 8
-    assert g.mul(5, 6) == (5 + 6) % 8
+            assert int(g.mul_table[a, b]) == (a + b) % 8
+    assert int(g.mul_table[5, 6]) == (5 + 6) % 8
 
 
 def test_invalid_order_rejected():
@@ -65,7 +67,7 @@ def test_klein_group_every_element_self_inverse():
     g = direct_product(cyclic_group(2), cyclic_group(2))
     assert g.order == 4
     for x in range(4):
-        assert g.mul(x, x) == 0
+        assert int(g.mul_table[x, x]) == 0
 
 
 def test_c2_c8_product_element_orders():
@@ -75,7 +77,7 @@ def test_c2_c8_product_element_orders():
     x, k = 9, 1
     acc = x
     while acc != 0:
-        acc = g.mul(acc, x)
+        acc = int(g.mul_table[acc, x])
         k += 1
     assert k == 8
 
@@ -102,18 +104,18 @@ def test_element_orders_match_element_order():
 def test_quaternion_defining_relations():
     q = quaternion_group()
     one, minus_one, i, j, k = 0, 1, 2, 4, 6
-    assert q.mul(i, j) == k
-    assert q.mul(i, i) == minus_one
-    assert q.mul(j, j) == minus_one
-    assert q.mul(k, k) == minus_one
-    assert q.mul(q.mul(i, j), k) == minus_one  # ijk = -1
-    assert q.mul(j, i) == q.inv(k)  # ji = -k
-    assert q.mul(one, i) == i
+    assert int(q.mul_table[i, j]) == k
+    assert int(q.mul_table[i, i]) == minus_one
+    assert int(q.mul_table[j, j]) == minus_one
+    assert int(q.mul_table[k, k]) == minus_one
+    assert int(q.mul_table[q.mul_table[i, j], k]) == minus_one  # ijk = -1
+    assert int(q.mul_table[j, i]) == int(q.inv_table[k])  # ji = -k
+    assert int(q.mul_table[one, i]) == i
 
 
 def test_quaternion_unique_involution():
     q = quaternion_group()
-    involutions = [x for x in range(1, 8) if q.mul(x, x) == 0]
+    involutions = [x for x in range(1, 8) if int(q.mul_table[x, x]) == 0]
     assert involutions == [1]
 
 
@@ -121,7 +123,8 @@ def test_quaternion_product_noncommutative():
     g = direct_product(quaternion_group(), cyclic_group(2))
     assert g.order == 16
     asymmetric = any(
-        g.mul(a, b) != g.mul(b, a) for a in range(g.order) for b in range(g.order)
+        int(g.mul_table[a, b]) != int(g.mul_table[b, a])
+        for a in range(g.order) for b in range(g.order)
     )
     assert asymmetric
     assert not np.array_equal(g.mul_table, g.mul_table.T)
@@ -193,9 +196,15 @@ def test_listing_requires_permutation():
 
 
 def test_listing_position_lookup():
-    listing = paired_listing(8)
-    for position, element in enumerate(listing.perm):
-        assert listing.position_of(element) == position
+    # relisting from a listing reads each element's position in it, the inverse permutation;
+    # paired_listing(8) is not its own inverse, so reading perm itself would fail here
+    paired = paired_listing(8)
+    assert [paired.perm[e] for e in paired.perm] != list(range(8))
+    m = SignMatrix(np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), (8, 8)))
+    back = relist(m, paired, natural_listing(paired.group)).entries
+    for p, e in enumerate(paired.perm):
+        for q, f in enumerate(paired.perm):
+            assert back[e, f] == m.entries[p, q]
 
 
 def test_group_by_name():
@@ -220,7 +229,7 @@ def test_direct_product_table_is_int16_and_lexicographic():
     q = quaternion_group()
     for a in range(32):
         for b in range(32):
-            assert g.mul(a, b) == ((a // 8 + b // 8) % 4) * 8 + q.mul(a % 8, b % 8)
+            assert int(g.mul_table[a, b]) == ((a // 8 + b // 8) % 4) * 8 + int(q.mul_table[a % 8, b % 8])
     g.validate(check_associativity=True)
 
 
